@@ -113,7 +113,8 @@ pub enum Counter {
     MiningThreads,
     /// Buffers served from a reuse pool instead of a fresh allocation
     /// (partition row vectors in the recursive builder, per-level scan
-    /// arenas in the presorted builder).
+    /// arenas in the presorted builder, a connection's request-body
+    /// buffer in the serve daemon).
     PoolReuseHits,
     /// HTTP requests fully parsed by the `ppdt-serve` daemon
     /// (including inline `/healthz` and `/metrics` hits; malformed
@@ -145,8 +146,9 @@ pub enum Counter {
     /// Requests served on an already-open keep-alive connection (the
     /// second and later requests on one socket).
     HttpKeepaliveReuses,
-    /// Requests parsed while an earlier response on the same
-    /// connection was still outstanding (HTTP/1.1 pipelining).
+    /// Requests whose bytes the daemon had already read when the
+    /// previous request on the same connection was framed, before its
+    /// response was written (HTTP/1.1 pipelining).
     HttpPipelinedRequests,
     /// Transfer-encoding chunks moved by streaming encode/classify
     /// requests (request chunks decoded plus response chunks written).

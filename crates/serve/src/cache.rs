@@ -20,12 +20,13 @@
 //! the stale plan is dropped and the key goes back through the full
 //! load → digest-check → audit → compile path.
 //!
-//! The [`TreeCache`] is the same idea one level up: `/v1/classify`
-//! and `/v1/decode-tree` ship a mined tree (and optionally the
-//! original dataset) with every request, and repeated requests
-//! against the same table re-validate and re-decode identical
-//! payloads. Caching the validated/decoded tree under
-//! `(key id, payload digest)` turns the repeat into a lookup.
+//! The [`TreeCache`] is the same idea one level up: `/v1/decode-tree`
+//! ships a mined tree (and optionally the original dataset) with every
+//! request, and a repeated request against the same table would
+//! re-parse and re-decode an identical payload. Caching the decoded
+//! tree under `(key id, payload digest)` turns the repeat into a
+//! lookup. Classify does not use it: validating its tree costs a few
+//! microseconds, far less than digesting the payload to key a cache.
 //!
 //! Both caches are bounded LRU maps behind one mutex each (lookups
 //! copy an `Arc`, so the critical sections are tiny), and both are
@@ -240,10 +241,9 @@ impl PlanCache {
     }
 }
 
-/// Bounded cache of validated/decoded trees, keyed by
-/// `(key id, payload digest)`, so repeated `/v1/classify` and
-/// `/v1/decode-tree` calls against the same table skip re-validating
-/// and re-decoding identical payloads.
+/// Bounded cache of decoded trees, keyed by `(key id, payload
+/// digest)`, so repeated `/v1/decode-tree` calls against the same
+/// table skip re-parsing and re-decoding identical payloads.
 pub struct TreeCache {
     cache: LruCache<DecisionTree>,
 }
@@ -272,7 +272,7 @@ impl TreeCache {
         hit
     }
 
-    /// Stores a validated/decoded tree under a composite key.
+    /// Stores a decoded tree under a composite key.
     pub fn put(&self, composite: String, tree: Arc<DecisionTree>) {
         self.cache.insert(composite, tree);
     }
@@ -292,7 +292,7 @@ impl TreeCache {
 pub struct Caches {
     /// Compiled key plans.
     pub plans: PlanCache,
-    /// Validated/decoded trees.
+    /// Decoded trees.
     pub trees: TreeCache,
 }
 

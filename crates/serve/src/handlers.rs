@@ -8,9 +8,8 @@
 //!
 //! Hot-path requests (`/v1/encode`, `/v1/classify`,
 //! `/v1/decode-tree`) go through the [`Caches`]: the key is loaded,
-//! audited, and lowered to a [`CompiledKey`]
-//! once per content id, and repeated tree payloads skip
-//! re-validation/re-decoding.
+//! audited, and lowered to a [`CompiledKey`] once per content id, and
+//! a repeated decode-tree payload skips re-parsing and re-decoding.
 
 use std::sync::Arc;
 
@@ -192,7 +191,7 @@ impl Endpoint {
         self as usize
     }
 
-    /// Whether the parser threads answer this endpoint directly
+    /// Whether the readiness loop answers this endpoint itself
     /// instead of queueing it: liveness, metrics, and version
     /// negotiation must keep responding while the worker pool is
     /// saturated.
@@ -227,8 +226,8 @@ pub fn route(req: &Request, debug: bool) -> Result<Route, HttpError> {
 }
 
 /// Routes on the request line alone, before any body bytes are read —
-/// the keep-alive parser decides buffered-vs-streaming dispatch from
-/// the head, so routing cannot wait for the body.
+/// the readiness loop decides buffered-vs-streaming dispatch from the
+/// head, so routing cannot wait for the body.
 ///
 /// `/v2/t/<tenant>/...` routes carry the namespace in the path;
 /// `/v1/*` routes live on as a shim onto [`Tenant::Default`], and
@@ -417,37 +416,18 @@ fn encode_row_into(
     Ok(())
 }
 
-/// Validates (and `check_tree`s, when `check` is set) a request tree,
-/// serving repeats from the tree cache: the composite cache key is
-/// `(key id, digest of the tree JSON)`, so a hit proves this exact
-/// payload already passed validation against this exact key.
-pub(crate) fn validated_tree(
-    caches: &Caches,
-    tenant: &Tenant,
-    key_id: &str,
-    plan: &CachedPlan,
-    tree: &DecisionTree,
-    check: bool,
-) -> Result<Arc<DecisionTree>, HttpError> {
-    let tree_json = serde_json::to_string(tree)
-        .map_err(|e| HttpError::from(PpdtError::internal(format!("tree re-serialization: {e}"))))?;
-    let composite = TreeCache::cache_key(tenant, key_id, tree_json.as_bytes());
-    if let Some(cached) = caches.trees.get(&composite) {
-        return Ok(cached);
-    }
+/// Validates a request tree and `check_tree`s it against the key. Both
+/// are cheap next to keying a cache on the tree, which would mean
+/// re-serializing and digesting the whole payload on every request.
+pub(crate) fn check_tree(plan: &CachedPlan, tree: &DecisionTree) -> Result<(), HttpError> {
     tree.validate(Some(plan.key.transforms.len())).map_err(HttpError::from)?;
-    if check {
-        plan.key.check_tree(tree).map_err(HttpError::from)?;
-    }
-    let validated = Arc::new(tree.clone());
-    caches.trees.put(composite, Arc::clone(&validated));
-    Ok(validated)
+    plan.key.check_tree(tree).map_err(HttpError::from)
 }
 
 /// Dispatches a pooled request. Inline endpoints
 /// (`Endpoint::Healthz`/`Metrics`/`Version`) never arrive here (the
-/// parser threads answer them directly); routing them in is an
-/// internal error by construction.
+/// server renders them itself); routing them in is an internal error
+/// by construction.
 pub fn handle(route: &Route, req: &Request, shared: &HandlerCtx) -> Result<Response, HttpError> {
     let ctx = shared.scoped(&route.tenant);
     match route.endpoint {
@@ -635,7 +615,7 @@ fn encode(req: &Request, ctx: &RequestCtx) -> Result<Response, HttpError> {
 fn classify(req: &Request, ctx: &RequestCtx) -> Result<Response, HttpError> {
     let body: ClassifyRequest = parse_body(req)?;
     let plan = load_plan(ctx, &body.key_id)?;
-    let tree = validated_tree(ctx.caches, ctx.tenant, &body.key_id, &plan, &body.tree, true)?;
+    check_tree(&plan, &body.tree)?;
     let mut labels = Vec::with_capacity(body.rows.len());
     let mut encoded = Vec::new();
     for (i, row) in body.rows.iter().enumerate() {
@@ -643,7 +623,7 @@ fn classify(req: &Request, ctx: &RequestCtx) -> Result<Response, HttpError> {
         // it through the miner's tree T' — inference without ever
         // decoding the tree (§5 custodian workflow).
         encode_row_into(&plan.plan, row, i, &mut encoded)?;
-        labels.push(tree.predict(&encoded).0);
+        labels.push(body.tree.predict(&encoded).0);
     }
     json_response(200, &ClassifyResponse { tenant: ctx.tenant.wire(), key_id: body.key_id, labels })
 }

@@ -132,6 +132,27 @@ impl HttpError {
     pub fn payload_too_large(message: impl Into<String>) -> Self {
         HttpError { status: 413, code: "payload_too_large", message: message.into(), detail: None }
     }
+
+    /// 408: the peer did not deliver the request within the parse
+    /// deadline (`what` names the part that was late).
+    pub(crate) fn request_timeout(what: &str) -> Self {
+        HttpError {
+            status: 408,
+            code: "request_timeout",
+            message: format!("{what}: connection too slow delivering the request"),
+            detail: None,
+        }
+    }
+
+    /// 431 for a request head over [`MAX_HEAD_BYTES`].
+    pub(crate) fn head_too_large() -> Self {
+        HttpError {
+            status: 431,
+            code: "head_too_large",
+            message: format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
+            detail: None,
+        }
+    }
 }
 
 impl HttpError {
@@ -170,38 +191,25 @@ impl From<PpdtError> for HttpError {
     }
 }
 
-/// Wraps a socket so the *total* time spent delivering one request is
-/// bounded: every read gets `deadline - now` as its timeout, and a
-/// read at or past the deadline fails with `TimedOut`. A per-read
-/// timeout alone lets a slow-loris peer reset the clock with one byte
-/// per interval; this deadline cannot be reset *by the peer* — the
-/// serve layer re-arms it via [`DeadlineStream::set_deadline`] once
-/// per request on a kept-alive connection.
+/// Bounds the *total* time spent reading one request body off a
+/// blocking socket: every read gets `deadline - now` as its timeout,
+/// and a read at or past the deadline fails with `TimedOut`. A
+/// per-read timeout alone lets a slow-loris peer reset the clock with
+/// one byte per interval; this deadline cannot be reset by the peer.
 #[derive(Debug)]
-pub struct DeadlineStream {
-    stream: TcpStream,
+pub struct DeadlineStream<'a> {
+    stream: &'a TcpStream,
     deadline: Instant,
 }
 
-impl DeadlineStream {
+impl<'a> DeadlineStream<'a> {
     /// Bounds all reads on `stream` by `deadline`.
-    pub fn new(stream: TcpStream, deadline: Instant) -> Self {
+    pub fn new(stream: &'a TcpStream, deadline: Instant) -> Self {
         DeadlineStream { stream, deadline }
-    }
-
-    /// Re-arms the deadline for the next request on a persistent
-    /// connection (only the server side moves it, never the peer).
-    pub fn set_deadline(&mut self, deadline: Instant) {
-        self.deadline = deadline;
-    }
-
-    /// The wrapped socket (for readiness polling).
-    pub fn stream(&self) -> &TcpStream {
-        &self.stream
     }
 }
 
-impl Read for DeadlineStream {
+impl Read for DeadlineStream<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let remaining = self.deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
@@ -220,12 +228,7 @@ impl Read for DeadlineStream {
 /// (`400`).
 fn read_failed(code: &'static str, what: &str, e: &std::io::Error) -> HttpError {
     if matches!(e.kind(), std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock) {
-        HttpError {
-            status: 408,
-            code: "request_timeout",
-            message: format!("{what}: connection too slow delivering the request"),
-            detail: None,
-        }
+        HttpError::request_timeout(what)
     } else {
         HttpError::bad_request(code, format!("{what}: {e}"))
     }
@@ -256,12 +259,7 @@ pub fn read_head<R: BufRead>(reader: &mut R) -> Result<Option<RequestHead>, Http
         }
         head.push_str(&line);
         if head.len() > MAX_HEAD_BYTES {
-            return Err(HttpError {
-                status: 431,
-                code: "head_too_large",
-                message: format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
-                detail: None,
-            });
+            return Err(HttpError::head_too_large());
         }
         if line == "\r\n" || line == "\n" {
             break;
@@ -375,17 +373,7 @@ pub fn read_body_into<R: BufRead>(
 ) -> Result<(), HttpError> {
     body.clear();
     if head.chunked {
-        let mut chunks = ChunkedReader::new(reader);
-        // `max_body + 1` so an over-cap body is detected, not
-        // silently truncated.
-        let mut bounded = (&mut chunks).take(max_body as u64 + 1);
-        bounded.read_to_end(body).map_err(|e| chunk_read_failed("chunked body read failed", &e))?;
-        if body.len() > max_body {
-            return Err(HttpError::payload_too_large(format!(
-                "chunked body exceeds the {max_body}-byte cap"
-            )));
-        }
-        return Ok(());
+        return read_chunked_into(reader, max_body, body);
     }
     let content_length = head.content_length.unwrap_or(0);
     if content_length > max_body {
@@ -404,17 +392,33 @@ pub fn read_body_into<R: BufRead>(
     Ok(())
 }
 
+/// Reads (and fully buffers) a chunked body into `body`, enforcing
+/// `max_body` on the de-chunked total.
+pub(crate) fn read_chunked_into<R: BufRead>(
+    reader: &mut R,
+    max_body: usize,
+    body: &mut Vec<u8>,
+) -> Result<(), HttpError> {
+    body.clear();
+    let mut chunks = ChunkedReader::new(reader);
+    // `max_body + 1` so an over-cap body is detected, not silently
+    // truncated.
+    let mut bounded = (&mut chunks).take(max_body as u64 + 1);
+    bounded.read_to_end(body).map_err(|e| chunk_read_failed("chunked body read failed", &e))?;
+    if body.len() > max_body {
+        return Err(HttpError::payload_too_large(format!(
+            "chunked body exceeds the {max_body}-byte cap"
+        )));
+    }
+    Ok(())
+}
+
 /// Maps a failed chunked-body read to its status: timeouts are `408`,
 /// bad framing (reported by [`ChunkedReader`] as `InvalidData`) and
 /// truncation are `400`.
 pub(crate) fn chunk_read_failed(what: &str, e: &std::io::Error) -> HttpError {
     if matches!(e.kind(), std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock) {
-        HttpError {
-            status: 408,
-            code: "request_timeout",
-            message: format!("{what}: connection too slow delivering the request"),
-            detail: None,
-        }
+        HttpError::request_timeout(what)
     } else if e.kind() == std::io::ErrorKind::InvalidData {
         HttpError::bad_request("bad_chunk", format!("{what}: {e}"))
     } else {
@@ -612,14 +616,11 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes and writes `resp` on a persistent connection: the
-/// `connection` header advertises `close` or `keep-alive` per
-/// `close`, and the caller decides whether to shut the socket down.
-pub fn write_response_conn<W: Write>(
-    w: &mut W,
-    resp: &Response,
-    close: bool,
-) -> std::io::Result<()> {
+/// Serializes `resp` for a persistent connection, head and body in
+/// one buffer (one write, one segment): the `connection` header
+/// advertises `close` or `keep-alive` per `close`, and the caller
+/// decides whether to shut the socket down.
+pub(crate) fn response_bytes(resp: &Response, close: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
         resp.status,
@@ -631,16 +632,9 @@ pub fn write_response_conn<W: Write>(
         head.push_str(&format!("retry-after: {secs}\r\n"));
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(resp.body.as_bytes())?;
-    w.flush()
-}
-
-/// Writes `resp` with `Connection: close`; the caller closes the
-/// connection. Write failures are reported but routinely ignored by
-/// callers — the peer may be gone.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    write_response_conn(stream, resp, true)
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(resp.body.as_bytes());
+    wire
 }
 
 /// Writes the head of a streamed (chunked) response; the body follows

@@ -37,7 +37,7 @@
 //! * [`cache`] — the hot-path caches: audited keys lowered once into
 //!   [`CompiledKey`](ppdt_transform::CompiledKey) plans (stamp-checked
 //!   against the envelope file so on-disk replacement invalidates),
-//!   plus a mined-tree cache keyed by `(key id, payload digest)`,
+//!   plus a decoded-tree cache keyed by `(key id, payload digest)`,
 //! * [`handlers`] — the API surface: `POST /v1/keys`, `/v1/encode`,
 //!   `/v1/classify`, `/v1/decode-tree`, `/v1/audit`, their
 //!   tenant-scoped `/v2/t/{tenant}/...` forms plus
@@ -51,14 +51,16 @@
 //!   sync loop: manifest polling, read-through fetch for
 //!   not-yet-synced keys, best-effort push on store, per-peer health
 //!   with bounded exponential backoff,
-//! * [`server`] — the daemon: an accept → poll → parse → work pipeline
-//!   with bounded queues, a never-reading acceptor, a readiness poller
-//!   that parks idle keep-alive sockets threadlessly, dedicated parser
-//!   threads under a slow-loris-proof parse deadline, in-order
-//!   pipelined responses, streaming chunked encode/classify, `503 +
-//!   Retry-After` backpressure, per-request deadlines, panic-contained
-//!   workers, graceful drain, and (with peers configured) the cluster
-//!   sync thread,
+//! * [`server`] — the daemon: one `poll(2)` readiness loop that
+//!   accepts, reads only ready sockets and frames whole requests in
+//!   each connection's buffer (idle and slow connections cost no
+//!   thread; a slow-loris meets a `408` at the parse deadline), in
+//!   front of one worker pool fed by one bounded queue; a connection
+//!   has one request at a worker at a time, so pipelined responses stay
+//!   in order by construction; plus streaming chunked
+//!   encode/classify, `503 + Retry-After` backpressure, per-request
+//!   deadlines, panic-contained workers, graceful drain, and (with
+//!   peers configured) the cluster sync thread,
 //! * [`signal`] — SIGINT/SIGTERM latching without a libc dependency.
 //!
 //! Error mapping is the workspace table

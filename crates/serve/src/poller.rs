@@ -1,37 +1,29 @@
-//! The readiness poller: parks idle keep-alive connections so they
-//! cost no thread until bytes arrive.
+//! Readiness for the serve loop: one `poll(2)` over the listener, a
+//! wake socket and every connection the loop holds, plus the path on
+//! which workers hand connections back.
 //!
-//! The daemon's parser pool is small and each parser blocks while
-//! reading one request, so a thousand idle keep-alive sockets must
-//! not each pin a parser between requests. Instead they are *parked*
-//! here: a single thread multiplexes all of them with `poll(2)` and
-//! hands a connection back to the parser queue only when it turns
-//! readable (or EOF/error, which the parser resolves as a clean
-//! close). The `poll` wrapper is a hand-rolled `extern "C"` binding —
-//! std already links libc on Unix, so this adds **zero** new
-//! dependencies, matching the crate's no-libc stance. On non-Unix
-//! targets a peek-based tick loop stands in.
-//!
-//! Waking the poller (a fresh connection was parked while `poll`
-//! sleeps) goes through a loopback TCP socketpair rather than
-//! `pipe(2)`, again to stay inside the stdlib surface.
+//! The loop sleeps in [`Poller::wait`] until a peer's bytes arrive, a
+//! connection is pending on the listener, a worker hands a connection
+//! back (one byte on the wake socket interrupts the wait), or the tick
+//! elapses. An idle keep-alive socket costs one `pollfd`, no thread.
+//! The `poll` binding is a hand-rolled `extern "C"` declaration — std
+//! already links libc on Unix, so this adds **zero** new dependencies,
+//! matching the crate's no-libc stance. On non-Unix targets a
+//! peek-based tick loop stands in, and a handed-back connection waits
+//! for the next tick instead of waking the loop.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::conn::Conn;
 
-/// Upper bound on one `poll` sleep, so the loop re-checks the
-/// shutdown flag and expiry deadlines promptly.
+/// Upper bound on one wait, so the loop re-checks the shutdown flag
+/// and expiry deadlines promptly.
 pub(crate) const POLL_TICK: Duration = Duration::from_millis(100);
 
 #[cfg(unix)]
 mod sys {
-    use std::os::fd::AsRawFd;
-
     /// `struct pollfd` from `<poll.h>`, laid out by hand.
     #[repr(C)]
     pub struct PollFd {
@@ -52,183 +44,160 @@ mod sys {
     }
 
     /// Blocks until one of `fds` is ready or `timeout_ms` elapses.
-    /// A negative return is an errno-style failure the caller treats
-    /// as "nothing ready".
+    /// A negative return is an errno-style failure (a signal, say) the
+    /// caller treats as "nothing ready".
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
-        if fds.is_empty() {
-            return 0;
-        }
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd structs of the length passed.
         unsafe { poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, timeout_ms) }
     }
 
-    pub fn pollfd_for(stream: &std::net::TcpStream) -> PollFd {
-        PollFd { fd: stream.as_raw_fd(), events: POLLIN, revents: 0 }
+    pub fn readable(fd: &impl std::os::fd::AsRawFd) -> PollFd {
+        PollFd { fd: fd.as_raw_fd(), events: POLLIN, revents: 0 }
     }
 }
 
-/// A connection parked on the poller, with the bookkeeping its
-/// expiry decisions need.
-pub(crate) struct Parked {
-    pub conn: Conn,
-    /// When it was parked (idle-timeout anchor).
-    pub since: Instant,
+/// The loop's end: connections handed back by workers, and the wait
+/// for readiness.
+pub(crate) struct Poller {
+    back: Receiver<Conn>,
+    #[cfg(unix)]
+    wake: std::os::unix::net::UnixStream,
+    #[cfg(unix)]
+    fds: Vec<sys::PollFd>,
+    /// `fds[first + k]` polls `conns[slots[k]]`.
+    #[cfg(unix)]
+    slots: Vec<usize>,
 }
 
-/// The sending half of the poller: parser threads, workers, and the
-/// acceptor park connections here; the poller thread owns the
-/// receiving half and the `poll(2)` loop.
-pub(crate) struct Poller {
+/// The workers' end: returns a connection to the loop and wakes it.
+pub(crate) struct Handback {
     tx: Sender<Conn>,
-    /// Write end of the wake socketpair; one byte interrupts `poll`.
-    wake: Mutex<TcpStream>,
+    #[cfg(unix)]
+    wake: std::os::unix::net::UnixStream,
+}
+
+/// A connected [`Poller`] and [`Handback`].
+pub(crate) fn pair() -> std::io::Result<(Poller, Handback)> {
+    let (tx, back) = std::sync::mpsc::channel();
+    #[cfg(unix)]
+    {
+        let (wake_tx, wake_rx) = std::os::unix::net::UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let poller = Poller { back, wake: wake_rx, fds: Vec::new(), slots: Vec::new() };
+        Ok((poller, Handback { tx, wake: wake_tx }))
+    }
+    #[cfg(not(unix))]
+    Ok((Poller { back }, Handback { tx }))
+}
+
+impl Handback {
+    /// Hands `conn` back to the loop. If the loop is gone (drain), the
+    /// connection is simply dropped — exactly what shutdown wants.
+    pub fn give(&self, conn: Conn) {
+        if self.tx.send(conn).is_ok() {
+            // Nonblocking: a full socket means the loop is waking up
+            // anyway.
+            #[cfg(unix)]
+            let _ = std::io::Write::write(&mut &self.wake, &[1]);
+        }
+    }
 }
 
 impl Poller {
-    /// Parks `conn` until it turns readable (or expires). If the
-    /// poller is gone (drain), the connection is simply dropped —
-    /// exactly what shutdown wants.
-    pub fn park(&self, conn: Conn) {
-        if self.tx.send(conn).is_ok() {
-            self.wake();
-        }
+    /// Connections the workers have handed back since the last call.
+    pub fn returned(&self) -> std::sync::mpsc::TryIter<'_, Conn> {
+        self.back.try_iter()
     }
 
-    fn wake(&self) {
-        if let Ok(mut w) = self.wake.lock() {
-            // Nonblocking: a full pipe means the poller is waking up
-            // anyway.
-            let _ = w.write(&[1u8]);
+    /// Waits up to `timeout` for the listener (when given) or one of
+    /// `conns` that [`Conn::needs_poll`] to turn readable. Fills
+    /// `ready` with the indices of the connections to serve —
+    /// including, without waiting, those [`Conn::ready`] already,
+    /// which `poll(2)` cannot see — and returns whether a connection is
+    /// pending on the listener.
+    #[cfg(unix)]
+    pub fn wait(
+        &mut self,
+        listener: Option<&TcpListener>,
+        conns: &[Conn],
+        timeout: Duration,
+        ready: &mut Vec<usize>,
+    ) -> bool {
+        ready.clear();
+        self.fds.clear();
+        self.slots.clear();
+        self.fds.push(sys::readable(&self.wake));
+        if let Some(l) = listener {
+            self.fds.push(sys::readable(l));
         }
-    }
-}
-
-/// A loopback TCP socketpair standing in for `pipe(2)`: bind an
-/// ephemeral listener, connect to it, accept, verify the peer is us
-/// (another local process could race the accept), and throw the
-/// listener away.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    for _ in 0..8 {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let write_end = TcpStream::connect(addr)?;
-        let (read_end, peer) = listener.accept()?;
-        if peer != write_end.local_addr()? {
-            continue; // a stranger raced us; retry with a new port
-        }
-        write_end.set_nonblocking(true)?;
-        read_end.set_nonblocking(true)?;
-        let _ = write_end.set_nodelay(true);
-        return Ok((write_end, read_end));
-    }
-    Err(std::io::Error::other("could not establish the poller wake socketpair"))
-}
-
-/// Builds the poller handle plus the pieces its loop thread needs
-/// (the park receiver and the wake read end).
-pub(crate) fn poller_parts() -> std::io::Result<(Poller, Receiver<Conn>, TcpStream)> {
-    let (wake_tx, wake_rx) = wake_pair()?;
-    let (tx, rx) = std::sync::mpsc::channel();
-    Ok((Poller { tx, wake: Mutex::new(wake_tx) }, rx, wake_rx))
-}
-
-/// Drains the wake socketpair after a `poll` wakeup.
-pub(crate) fn drain_wake(wake_rx: &mut TcpStream) {
-    let mut buf = [0u8; 64];
-    while matches!(wake_rx.read(&mut buf), Ok(n) if n > 0) {}
-}
-
-/// Returns the indices of `parked` whose sockets are readable (or in
-/// EOF/error state), blocking up to `timeout`. Entries with bytes
-/// already buffered in userspace are ready by definition and are
-/// reported without polling (the kernel cannot see them).
-#[cfg(unix)]
-pub(crate) fn ready_indices(
-    parked: &[Parked],
-    wake_rx: &TcpStream,
-    timeout: Duration,
-) -> Vec<usize> {
-    let mut ready: Vec<usize> = Vec::new();
-    let mut fds = vec![sys::pollfd_for(wake_rx)];
-    let mut fd_index: Vec<usize> = Vec::with_capacity(parked.len());
-    for (i, p) in parked.iter().enumerate() {
-        if p.conn.has_buffered() {
-            ready.push(i);
-        } else {
-            fds.push(sys::pollfd_for(p.conn.socket()));
-            fd_index.push(i);
-        }
-    }
-    // Something is already actionable: don't sleep at all.
-    let timeout_ms =
-        if ready.is_empty() { timeout.as_millis().min(i32::MAX as u128) as i32 } else { 0 };
-    let n = sys::poll_fds(&mut fds, timeout_ms);
-    if n > 0 {
-        for (slot, fd) in fds.iter().enumerate().skip(1) {
-            if fd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0 {
-                ready.push(fd_index[slot - 1]);
+        let first = self.fds.len();
+        for (i, c) in conns.iter().enumerate() {
+            if c.ready() {
+                ready.push(i);
+            } else if c.needs_poll() {
+                self.fds.push(sys::readable(c.socket()));
+                self.slots.push(i);
             }
         }
+        let timeout_ms = if ready.is_empty() {
+            timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+        } else {
+            0
+        };
+        if sys::poll_fds(&mut self.fds, timeout_ms) <= 0 {
+            return false;
+        }
+        if self.fds[0].revents != 0 {
+            let mut sink = [0u8; 64];
+            while matches!(std::io::Read::read(&mut &self.wake, &mut sink), Ok(n) if n > 0) {}
+        }
+        let seen = sys::POLLIN | sys::POLLERR | sys::POLLHUP;
+        for (fd, &i) in self.fds[first..].iter().zip(&self.slots) {
+            if fd.revents & seen != 0 {
+                ready.push(i);
+            }
+        }
+        listener.is_some() && self.fds[1].revents != 0
     }
-    ready
-}
 
-/// Peek-based fallback for targets without `poll(2)`: a short sleep
-/// tick, then a nonblocking `peek` per parked socket.
-#[cfg(not(unix))]
-pub(crate) fn ready_indices(
-    parked: &[Parked],
-    _wake_rx: &TcpStream,
-    timeout: Duration,
-) -> Vec<usize> {
-    let mut ready = Vec::new();
-    for (i, p) in parked.iter().enumerate() {
-        if p.conn.has_buffered() {
-            ready.push(i);
-            continue;
+    /// Peek-based fallback for targets without `poll(2)`: a nonblocking
+    /// `peek` per held socket, then a short sleep when none is ready.
+    /// The listener is always reported pending (its `accept` does not
+    /// block).
+    #[cfg(not(unix))]
+    pub fn wait(
+        &mut self,
+        listener: Option<&TcpListener>,
+        conns: &[Conn],
+        timeout: Duration,
+        ready: &mut Vec<usize>,
+    ) -> bool {
+        ready.clear();
+        for (i, c) in conns.iter().enumerate() {
+            // Bytes, EOF or a broken socket.
+            let stirred = || {
+                !matches!(c.socket().peek(&mut [0u8; 1]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
+            };
+            if c.ready() || (c.needs_poll() && stirred()) {
+                ready.push(i);
+            }
         }
-        let sock = p.conn.socket();
-        if sock.set_nonblocking(true).is_err() {
-            ready.push(i); // broken socket: let the parser reap it
-            continue;
+        if ready.is_empty() {
+            std::thread::sleep(timeout.min(Duration::from_millis(10)));
         }
-        let mut probe = [0u8; 1];
-        match sock.peek(&mut probe) {
-            Ok(_) => ready.push(i), // bytes or EOF
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(_) => ready.push(i),
-        }
-        let _ = sock.set_nonblocking(false);
+        listener.is_some()
     }
-    if ready.is_empty() {
-        std::thread::sleep(timeout.min(Duration::from_millis(20)));
-    }
-    ready
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wake_pair_interrupts_nothing_but_works() {
-        let (mut w, mut r) = wake_pair().expect("socketpair");
-        w.write_all(&[1]).expect("wake byte");
-        // Nonblocking read end sees the byte promptly.
-        let mut buf = [0u8; 8];
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            match r.read(&mut buf) {
-                Ok(n) if n > 0 => break,
-                Ok(_) => panic!("wake pair closed"),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    assert!(Instant::now() < deadline, "wake byte never arrived");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("wake read failed: {e}"),
-            }
-        }
-        drain_wake(&mut r);
-    }
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     #[cfg(unix)]
     #[test]
@@ -239,12 +208,44 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
 
         // Nothing written yet: not readable within a short poll.
-        let mut fds = [sys::pollfd_for(&server)];
+        let mut fds = [sys::readable(&server)];
         assert_eq!(sys::poll_fds(&mut fds, 50), 0, "quiet socket must not be ready");
 
         client.write_all(b"x").unwrap();
-        let mut fds = [sys::pollfd_for(&server)];
+        let mut fds = [sys::readable(&server)];
         assert_eq!(sys::poll_fds(&mut fds, 2000), 1, "written byte must wake poll");
         assert!(fds[0].revents & sys::POLLIN != 0);
+    }
+
+    #[test]
+    fn wait_sees_pending_connections_bytes_and_handbacks() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut poller, handback) = pair().unwrap();
+        let mut ready = Vec::new();
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        assert!(poller.wait(Some(&listener), &[], Duration::from_secs(2), &mut ready));
+        let (server, _) = listener.accept().unwrap();
+        let conns = vec![Conn::new(server, Duration::from_secs(1)).unwrap()];
+
+        poller.wait(None, &conns, Duration::from_millis(50), &mut ready);
+        assert!(ready.is_empty(), "a quiet connection is not ready");
+
+        client.write_all(b"GET").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while ready.is_empty() && Instant::now() < deadline {
+            poller.wait(None, &conns, Duration::from_secs(2), &mut ready);
+        }
+        assert_eq!(ready, [0], "bytes make the connection ready");
+
+        // A worker handing a connection back cuts the wait short.
+        let other = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        handback.give(Conn::new(other, Duration::from_secs(1)).unwrap());
+        poller.wait(None, &[], Duration::from_secs(2), &mut ready);
+        assert!(started.elapsed() < Duration::from_secs(1), "the hand-back woke the wait");
+        assert_eq!(poller.returned().count(), 1);
     }
 }

@@ -1,56 +1,62 @@
-//! The daemon: an event-driven pipeline — accept, poll, parse, work —
-//! with bounded queues between the stages, keep-alive connections,
-//! pipelining, and graceful drain.
+//! The daemon: one readiness loop in front of one worker pool, with
+//! keep-alive connections, pipelining and graceful drain.
 //!
-//! The acceptor thread does nothing but `accept()` and park the raw
-//! socket on the readiness poller; it never reads from a peer, so a
-//! slow or hostile connection cannot stall accepting. The poller
-//! (the private `poller` module) multiplexes every idle connection with one
-//! `poll(2)` loop and hands a connection to the parser pool only when
-//! bytes arrive — ten thousand idle keep-alive sockets cost zero
-//! threads. A small dedicated parser pool reads and routes each
-//! request under a per-request parse deadline
-//! ([`ServerConfig::parse_deadline`], enforced by
-//! [`DeadlineStream`](crate::http::DeadlineStream)) — a slow-loris
-//! trickling bytes cannot reset it and is cut off with `408`, even on
-//! the second request of a pipelined burst.
+//! The loop runs on the thread that calls [`Server::run`]. It polls
+//! the listener and every connection it holds (the private `poller`
+//! module), accepts on readiness, reads the ready bytes into each
+//! connection's own buffer and frames complete requests (the private
+//! `conn` module). It never waits on a peer: it reads only after
+//! readiness, and an answer of its own that the socket cannot take at
+//! once drops the connection. It answers `/healthz`, `/metrics` and
+//! `/v1/version`, routing errors, wire errors (400/408/413/431) and
+//! overload `503`s itself, so liveness keeps answering while every
+//! worker is busy. Every other request goes, with its connection, to
+//! a worker through one bounded queue; when the queue is full the
+//! request is answered `503` with `Retry-After` at once — the
+//! backpressure is visible to the client, not hidden in latency — and
+//! the connection closes (a 503 always closes: the daemon sheds load,
+//! it does not babysit it). The loop answers at most one request per
+//! connection per wake-up, so one pipelining client cannot starve the
+//! others.
+//!
+//! A connection has at most one request at a worker. The worker runs
+//! the handler, writes the answer straight to the socket and hands the
+//! connection back to the loop, so pipelined answers leave in request
+//! order by construction. A `Content-Length` request reaches a worker
+//! whole: no worker waits on a peer's bytes for one, and a slow-loris
+//! costs a buffer, not a thread, until
+//! [`ServerConfig::parse_deadline`] answers it `408` — even as the
+//! second request of a pipeline. A chunked body is read by the worker
+//! itself: `/v1/encode` and `/v1/classify` (and their `/v2/t/{tenant}/`
+//! forms) stream it batch by batch under
+//! [`ServerConfig::stream_deadline`] (the private `stream` module);
+//! other endpoints buffer it under `parse_deadline`. A chunked request
+//! refused before its body is read closes lingeringly: the loop reads
+//! and discards the rest, within `max_body_bytes` and `parse_deadline`,
+//! so a client still uploading reads the answer instead of a reset.
+//! The loop buffers at most two [`ServerConfig::max_body_bytes`] of
+//! bodies longer than one read at once; a body past that is not read
+//! until room frees.
 //!
 //! A connection stays open across requests (HTTP/1.1 keep-alive,
 //! honoring `Connection: close`/`keep-alive`) up to
 //! [`ServerConfig::keep_alive_requests`] requests,
 //! [`ServerConfig::idle_timeout`] between requests, and
-//! [`ServerConfig::conn_lifetime`] overall. Pipelined requests fan
-//! out to the worker pool concurrently; the per-connection
-//! `ConnWriter` puts the responses back on
-//! the wire in request order. Chunked (`Transfer-Encoding: chunked`)
-//! bodies on `/v1/encode` and `/v1/classify` (and their
-//! `/v2/t/{tenant}/` forms) bypass body buffering entirely: the whole
-//! connection is handed to a worker, which decodes, encodes, and
-//! streams the answer back batch-by-batch (the private `stream`
-//! module) under a bounded memory ceiling.
+//! [`ServerConfig::conn_lifetime`] overall.
 //!
 //! Tenant quotas are enforced at the worker boundary: a tenant past
 //! [`ServerConfig::tenant_max_inflight`] concurrent requests is
 //! answered `429` with `Retry-After` — unlike a `503` the daemon is
-//! healthy; the quota, not the queue, said no.
-//!
-//! Liveness (`/healthz`), `/metrics`, and `/v1/version` are answered
-//! by the parser threads directly so they keep responding while the
-//! worker pool is saturated; everything else is pushed onto the
-//! bounded job queue. When a queue is full the request is answered
-//! `503` with `Retry-After` immediately instead of buffering — the
-//! backpressure is visible to the client, not hidden in latency — and
-//! the connection closes (a 503 always closes: the daemon sheds load,
-//! it does not babysit it). Workers drop jobs that waited past the
-//! per-request deadline (the client has likely given up; doing the
-//! work anyway is wasted CPU under overload), and a panicking handler
-//! is caught, answered `500`, and the worker lives on.
+//! healthy; the quota, not the queue, said no. Workers drop jobs that
+//! waited past the per-request deadline (the client has likely given
+//! up; doing the work anyway is wasted CPU under overload), and a
+//! panicking handler is caught, answered `500`, and the worker lives
+//! on.
 //!
 //! Shutdown is cooperative: a SIGINT/SIGTERM (or a programmatic
-//! [`Server::shutdown_flag`] store) makes the acceptor stop accepting
-//! and the poller drop its parked connections; parsers drain the
-//! readable backlog, workers drain the queued jobs and finish their
-//! in-flight requests, and [`Server::run`] returns.
+//! [`Server::shutdown_flag`] store) ends the loop, which closes the
+//! connections it holds; workers drain the queued jobs and finish
+//! their in-flight requests, and [`Server::run`] returns.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -64,18 +70,17 @@ use ppdt_obs::Counter;
 use serde::Serialize;
 
 use crate::cache::Caches;
-use crate::conn::{Conn, ConnWriter};
+use crate::conn::{Conn, Frame, READ_CHUNK};
 use crate::handlers::{self, Endpoint, HandlerCtx, Route, ENDPOINTS};
-use crate::http::{read_body_into, read_head, HttpError, Request, Response};
+use crate::http::{read_chunked_into, HttpError, Request, Response};
 use crate::keystore::Tenant;
 use crate::peer::{Cluster, PeerSnapshot};
-use crate::poller::{self, Parked, Poller, POLL_TICK};
+use crate::poller::{self, Handback, Poller, POLL_TICK};
 use crate::stream::{self, StreamEnd};
 
-/// Consecutive pipelined requests one parser drains from a single
-/// connection before re-parking it, so one chatty client cannot
-/// monopolize a parser thread.
-const PIPELINE_BURST: u64 = 32;
+/// How long the loop leaves the listener out of its polls after an
+/// `accept` error such as `EMFILE`, instead of spinning on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Everything tunable about a [`Server`].
 #[derive(Clone, Debug)]
@@ -85,26 +90,25 @@ pub struct ServerConfig {
     /// Worker threads; `0` resolves via [`ppdt_obs::threads`]
     /// (`PPDT_THREADS` / available parallelism).
     pub workers: usize,
-    /// Bounded queue depth between the parser and the pool; a full
-    /// queue answers `503` immediately.
+    /// Bounded queue depth between the readiness loop and the worker
+    /// pool; a full queue answers `503` immediately.
     pub queue_capacity: usize,
     /// Queued requests older than this are answered `503` instead of
     /// being processed.
     pub request_deadline: Duration,
     /// Per-request body cap, bytes (declared `Content-Length` or
-    /// accumulated chunked payload alike).
+    /// accumulated chunked payload alike). The readiness loop buffers
+    /// at most two such bodies at once, and a lingering close discards
+    /// at most this much.
     pub max_body_bytes: usize,
-    /// Per-connection socket read/write timeout.
+    /// Per-connection socket write timeout: how long a worker waits on
+    /// a peer that stopped reading its answer.
     pub io_timeout: Duration,
-    /// Dedicated parse/inline threads; `0` resolves to `2`. They read
-    /// requests off readable connections and answer `/healthz`,
-    /// `/metrics`, and `/v1/version`, so slow peers and a saturated
-    /// worker pool cannot stall liveness.
-    pub parser_threads: usize,
     /// Hard ceiling on the total time a connection may take to deliver
     /// one complete request (head + body). Unlike `io_timeout` it is
     /// not reset by each byte, so it bounds slow-loris peers; on a
-    /// kept-alive connection it re-arms once per request.
+    /// kept-alive connection it re-arms once per request. It also
+    /// bounds a lingering close.
     pub parse_deadline: Duration,
     /// Routes the test-only `POST /v1/debug/*` endpoints.
     pub debug_endpoints: bool,
@@ -112,14 +116,16 @@ pub struct ServerConfig {
     /// the cache and every request re-loads, re-audits, and
     /// re-compiles its key (the benches use this for the cold path).
     pub plan_cache_capacity: usize,
-    /// Validated/decoded tree cache capacity; `0` disables it.
+    /// Decoded-tree cache capacity (`/v1/decode-tree`); `0` disables
+    /// it.
     pub tree_cache_capacity: usize,
     /// Requests served per connection before the daemon closes it
     /// (`0` disables keep-alive entirely: every response carries
     /// `Connection: close`).
     pub keep_alive_requests: u64,
     /// How long an idle keep-alive connection (no request in flight,
-    /// nothing buffered) may sit parked before it is reaped.
+    /// nothing buffered) may wait on the readiness loop before it is
+    /// closed.
     pub idle_timeout: Duration,
     /// Hard ceiling on one connection's total lifetime, busy or not.
     pub conn_lifetime: Duration,
@@ -130,8 +136,8 @@ pub struct ServerConfig {
     /// daemon's memory ceiling is a few batches of columns, never the
     /// whole dataset.
     pub stream_chunk_rows: usize,
-    /// Connections parked on the poller at once; above it new
-    /// connections are shed with `503`.
+    /// Connections the readiness loop holds at once (those at a worker
+    /// are not counted); above it new connections are shed with `503`.
     pub max_connections: usize,
     /// Cluster peers (other daemons' addresses, from repeated
     /// `--peer` flags). Empty means standalone: no sync thread, no
@@ -163,7 +169,6 @@ impl Default for ServerConfig {
             request_deadline: Duration::from_secs(10),
             max_body_bytes: crate::http::DEFAULT_MAX_BODY_BYTES,
             io_timeout: Duration::from_secs(30),
-            parser_threads: 0,
             parse_deadline: Duration::from_secs(5),
             debug_endpoints: false,
             plan_cache_capacity: 64,
@@ -365,8 +370,9 @@ pub struct ServeSnapshot {
     pub in_flight_peak: u64,
     /// Requests served on an already-open keep-alive connection.
     pub keepalive_reuses: u64,
-    /// Requests parsed while an earlier response on the same
-    /// connection was still outstanding.
+    /// Requests whose bytes the daemon had already read when the
+    /// previous request on the same connection was framed, before its
+    /// answer was written.
     pub pipelined_requests: u64,
     /// Transfer-encoding chunks moved by streaming encode/classify
     /// (request chunks decoded plus response chunks written).
@@ -402,49 +408,18 @@ pub struct MetricsBody {
     pub peers: Vec<PeerSnapshot>,
 }
 
-/// One queued buffered-body unit of work: the parsed request plus the
-/// ordered writer (and sequence slot) to answer through.
+/// One request on its way to a worker, with the connection it came on.
 struct Job {
-    writer: Arc<ConnWriter>,
-    /// The connection's body-buffer recycler: the worker returns the
-    /// request body here when done, so the next keep-alive request on
-    /// the same connection reads into it without reallocating.
-    bodies: Arc<crate::conn::BodyPool>,
-    seq: u64,
-    close: bool,
-    req: Request,
-    route: Route,
-    enqueued: Instant,
-}
-
-/// A streaming (chunked-body) request: the worker takes the whole
-/// connection, consumes the body incrementally, and re-parks the
-/// connection when done.
-struct StreamJob {
     conn: Conn,
-    seq: u64,
+    req: Request,
+    /// The body is chunked and still on the wire: the worker reads it.
+    chunked: bool,
+    /// A routing error reaches a worker only behind a chunked body,
+    /// which must be read before the connection can take another
+    /// request.
+    route: Result<Route, HttpError>,
     close: bool,
-    expect_continue: bool,
-    route: Route,
     enqueued: Instant,
-}
-
-/// What flows over the worker queue.
-enum Work {
-    Buffered(Job),
-    Stream(StreamJob),
-}
-
-/// What the parser decides after one request on a connection.
-enum Step {
-    /// Another pipelined request may already be buffered: parse again.
-    Continue,
-    /// Nothing buffered: park on the poller until readable.
-    Park,
-    /// The connection is finished (close requested, wire error, EOF).
-    Done,
-    /// Hand the whole connection to a worker for a streaming body.
-    Stream { seq: u64, close: bool, expect_continue: bool, route: Route },
 }
 
 /// A bound, not-yet-running custodian daemon.
@@ -453,7 +428,6 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     workers: usize,
-    parsers: usize,
     store: crate::keystore::KeyStore,
     caches: Caches,
     cluster: Option<Cluster>,
@@ -474,13 +448,12 @@ impl Server {
             path: Some(cfg.addr.clone()),
             detail: format!("local_addr: {e}"),
         })?;
-        // Non-blocking accept lets the loop poll the shutdown flag.
+        // The loop accepts only after readiness and must never block.
         listener.set_nonblocking(true).map_err(|e| PpdtError::Io {
             path: Some(cfg.addr.clone()),
             detail: format!("set_nonblocking: {e}"),
         })?;
         let workers = if cfg.workers == 0 { ppdt_obs::threads(None) } else { cfg.workers };
-        let parsers = if cfg.parser_threads == 0 { 2 } else { cfg.parser_threads };
         let caches = Caches::new(cfg.plan_cache_capacity, cfg.tree_cache_capacity);
         // The bound address (with `:0` resolved) is the node's cluster
         // identity: unique per daemon and exactly what peers dial.
@@ -493,7 +466,6 @@ impl Server {
             listener,
             addr,
             workers,
-            parsers,
             store,
             caches,
             cluster,
@@ -539,37 +511,21 @@ impl Server {
         }
     }
 
-    /// Accepts and serves until shutdown, then drains. Blocks the
-    /// calling thread for the daemon's whole life.
+    /// Serves until shutdown, then drains. The readiness loop runs on
+    /// the calling thread, which this blocks for the daemon's whole
+    /// life.
     pub fn run(self) -> Result<(), PpdtError> {
-        // Readiness plumbing: everyone parks connections on `poller`;
-        // the poller thread owns the receiving side and feeds readable
-        // connections to the parsers over a bounded hand-off.
-        let (poller, park_rx, wake_rx) = poller::poller_parts().map_err(|e| PpdtError::Io {
+        let (poller, handback) = poller::pair().map_err(|e| PpdtError::Io {
             path: None,
             detail: format!("poller wake channel: {e}"),
         })?;
-        let (conn_tx, conn_rx) =
-            std::sync::mpsc::sync_channel::<Conn>(self.cfg.queue_capacity.max(self.parsers));
-        let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<Work>(self.cfg.queue_capacity);
-        let conn_rx = Mutex::new(conn_rx);
-        let job_rx = Mutex::new(job_rx);
-        let this = &self;
-        let poller_ref = &poller;
-        let joined = crossbeam::thread::scope(|s| {
+        let (jobs, queue) = std::sync::mpsc::sync_channel::<Job>(self.cfg.queue_capacity);
+        let queue = Mutex::new(queue);
+        let (this, queue, handback) = (&self, &queue, &handback);
+        crossbeam::thread::scope(|s| {
             for _ in 0..this.workers {
-                let job_rx = &job_rx;
-                s.spawn(move |_| this.worker_loop(job_rx, poller_ref));
+                s.spawn(move |_| this.worker_loop(queue, handback));
             }
-            for _ in 0..this.parsers {
-                let conn_rx = &conn_rx;
-                let tx = job_tx.clone();
-                s.spawn(move |_| this.parser_loop(conn_rx, tx, poller_ref));
-            }
-            // Each parser owns a job-sender clone; dropping the
-            // original here means the workers' `recv()` unblocks as
-            // soon as the last parser exits and the queue is empty.
-            drop(job_tx);
             // Cluster mode: one sync thread per daemon runs the
             // anti-entropy loop; it polls the shutdown flag at sub-tick
             // granularity so the drain never waits on a sleeping peer
@@ -577,341 +533,192 @@ impl Server {
             if let Some(cluster) = &this.cluster {
                 s.spawn(move |_| cluster.run_sync(&this.store, &|| this.stopping()));
             }
-            s.spawn(move |_| this.poller_loop(park_rx, wake_rx, conn_tx));
-            this.accept_loop(poller_ref);
-            // The acceptor returning means shutdown began; the poller
-            // loop notices too, drops its parked connections and the
-            // connection sender, which wakes every parser out of
-            // `recv()`: the drain barrier cascades poller → parser →
-            // worker.
-        });
-        joined.map_err(|_| PpdtError::internal("a server thread panicked"))
+            // The loop returns at shutdown and drops the job sender:
+            // the workers drain the queue, then their `recv()` fails
+            // and they exit.
+            this.serve_loop(poller, jobs);
+        })
+        .map_err(|_| PpdtError::internal("a server thread panicked"))
     }
 
-    /// Accepts sockets and parks them on the poller; never reads from
-    /// a peer, so no connection — however slow or hostile — can stall
-    /// `accept()`.
-    fn accept_loop(&self, poller: &Poller) {
+    /// The readiness loop: accepts, reads and frames, answers what it
+    /// can itself, hands the rest to the workers, and closes idle,
+    /// expired and dead connections.
+    fn serve_loop(&self, mut poller: Poller, jobs: SyncSender<Job>) {
+        let mut conns: Vec<Conn> = Vec::new();
+        let mut kept: Vec<Conn> = Vec::new();
+        let mut ready: Vec<usize> = Vec::new();
+        let mut scratch = vec![0u8; READ_CHUNK];
+        let mut accept_paused: Option<Instant> = None;
+        let mut timeout = POLL_TICK;
+        // The request-body bytes the loop buffers at once: two
+        // maximal bodies, besides bodies that fit in one read.
+        let budget = self.cfg.max_body_bytes.saturating_mul(2);
         while !self.stopping() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_read_timeout(Some(self.cfg.io_timeout));
-                    let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
-                    // Pipelined exchanges are many small writes; Nagle
-                    // plus delayed ACK would serialize them.
-                    let _ = stream.set_nodelay(true);
-                    let deadline = Instant::now() + self.cfg.parse_deadline;
-                    // fd dup failure drops the socket.
-                    if let Ok(conn) = Conn::new(stream, deadline) {
-                        poller.park(conn);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    // Transient accept failure (e.g. EMFILE); back off
-                    // rather than spinning.
-                    std::thread::sleep(Duration::from_millis(50));
-                }
+            for mut conn in poller.returned() {
+                conn.handed_back();
+                conns.push(conn);
             }
-        }
-    }
-
-    /// The readiness loop: owns every parked connection, polls them
-    /// all at once, feeds readable ones to the parsers, and reaps
-    /// idle/expired/dead ones.
-    fn poller_loop(
-        &self,
-        park_rx: Receiver<Conn>,
-        mut wake_rx: std::net::TcpStream,
-        conn_tx: SyncSender<Conn>,
-    ) {
-        let mut parked: Vec<Parked> = Vec::new();
-        while !self.stopping() {
-            // Take in newly parked connections (from the acceptor,
-            // parsers, and streaming workers).
-            while let Ok(conn) = park_rx.try_recv() {
-                if parked.len() >= self.cfg.max_connections {
-                    self.shed_conn(conn);
+            // A body longer than one read stays unread, its sender held
+            // back by TCP flow control, until it fits in the budget.
+            let mut held: usize = conns.iter().map(Conn::held).sum();
+            for conn in &mut conns {
+                held += conn.admit(budget.saturating_sub(held));
+            }
+            if accept_paused.is_some_and(|until| Instant::now() >= until) {
+                accept_paused = None;
+            }
+            let listener = accept_paused.is_none().then_some(&self.listener);
+            let pending = poller.wait(listener, &conns, timeout, &mut ready);
+            ready.sort_unstable();
+            let now = Instant::now();
+            let mut next =
+                accept_paused.map_or(now + POLL_TICK, |until| until.min(now + POLL_TICK));
+            let mut ready = ready.iter().copied().peekable();
+            for (i, conn) in conns.drain(..).enumerate() {
+                let conn = if ready.next_if_eq(&i).is_some() {
+                    self.serve(conn, &mut scratch, &jobs)
                 } else {
-                    parked.push(Parked { conn, since: Instant::now() });
+                    Some(conn)
+                };
+                if let Some(conn) = conn.and_then(|c| self.expire(c, now, &mut next)) {
+                    kept.push(conn);
                 }
             }
-            // Reap: broken writers, idle sockets past the idle
-            // deadline, and connections over the lifetime ceiling. A
-            // connection with a response still in flight is never
-            // reaped here — the worker owns its fate.
-            parked.retain(|p| {
-                if p.conn.writer.is_dead() {
-                    return false;
-                }
-                if !p.conn.quiescent() {
-                    return true;
-                }
-                p.since.elapsed() < self.cfg.idle_timeout
-                    && p.conn.created.elapsed() < self.cfg.conn_lifetime
-            });
-            // Block in poll(2) until someone is readable, a park
-            // arrives (wake byte), or the tick elapses.
-            let mut ready = poller::ready_indices(&parked, &wake_rx, POLL_TICK);
-            poller::drain_wake(&mut wake_rx);
-            // Dispatch readable connections; descending order keeps
-            // the swap_remove indices valid.
-            ready.sort_unstable_by(|a, b| b.cmp(a));
-            let mut backoff = false;
-            for i in ready {
-                let p = parked.swap_remove(i);
-                match conn_tx.try_send(p.conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(conn)) => {
-                        // Every parser is busy; keep it parked (it
-                        // stays readable) and retry next tick.
-                        parked.push(Parked { conn, since: p.since });
-                        backoff = true;
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
+            std::mem::swap(&mut conns, &mut kept);
+            if pending && self.accept(&mut conns).is_err() {
+                accept_paused = Some(Instant::now() + ACCEPT_BACKOFF);
+                next = next.min(Instant::now() + ACCEPT_BACKOFF);
             }
-            if backoff {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            timeout = next.saturating_duration_since(Instant::now());
         }
-        // Shutdown: dropping `parked` closes every idle connection and
-        // dropping `conn_tx` starts the parser → worker drain cascade.
+        // Shutdown: dropping `conns` closes every connection the loop
+        // holds, and dropping `jobs` starts the workers' drain.
     }
 
-    /// Sheds a connection over the [`ServerConfig::max_connections`]
-    /// ceiling with a `503`.
-    fn shed_conn(&self, conn: Conn) {
-        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        ppdt_obs::add(Counter::HttpRejected, 1);
-        let resp = HttpError::overloaded("connection ceiling reached").to_response();
-        conn.writer.submit(conn.seqs_issued, resp, true);
-    }
-
-    fn parser_loop(&self, rx: &Mutex<Receiver<Conn>>, tx: SyncSender<Work>, poller: &Poller) {
+    /// Accepts every pending connection. An accept error such as
+    /// `EMFILE` is returned, and the loop leaves the listener out of
+    /// its polls for [`ACCEPT_BACKOFF`] instead of spinning on it.
+    fn accept(&self, conns: &mut Vec<Conn>) -> std::io::Result<()> {
         loop {
-            let conn = {
-                let Ok(guard) = rx.lock() else { return };
-                match guard.recv() {
-                    Ok(conn) => conn,
-                    Err(_) => return, // sender dropped: drain complete
-                }
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if crate::conn::would_block(&e) => return Ok(()),
+                Err(e) => return Err(e),
             };
-            self.drive_conn(conn, &tx, poller);
+            let Ok(conn) = Conn::new(stream, self.cfg.io_timeout) else { continue };
+            if conns.len() >= self.cfg.max_connections {
+                let shed = HttpError::overloaded("connection ceiling reached").to_response();
+                self.reply(conn, None, shed, true, false);
+            } else {
+                conns.push(conn);
+            }
         }
     }
 
-    /// Drains one readable connection: parses up to [`PIPELINE_BURST`]
-    /// buffered requests, then either parks it back on the poller,
-    /// hands it to a streaming worker, or drops it.
-    fn drive_conn(&self, mut conn: Conn, tx: &SyncSender<Work>, poller: &Poller) {
-        for _ in 0..PIPELINE_BURST {
-            match self.parse_one(&mut conn, tx) {
-                Step::Continue => continue,
-                Step::Park => {
-                    poller.park(conn);
-                    return;
-                }
-                Step::Done => return,
-                Step::Stream { seq, close, expect_continue, route } => {
-                    let job = StreamJob {
-                        conn,
-                        seq,
-                        close,
-                        expect_continue,
-                        route,
-                        enqueued: Instant::now(),
-                    };
-                    match tx.try_send(Work::Stream(job)) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(Work::Stream(job))) => {
-                            self.submit_error(
-                                &job.conn.writer,
-                                job.seq,
-                                Some(job.route.endpoint),
-                                &HttpError::overloaded("request queue is full"),
-                                true,
-                            );
-                        }
-                        Err(TrySendError::Disconnected(Work::Stream(job))) => {
-                            self.submit_error(
-                                &job.conn.writer,
-                                job.seq,
-                                Some(job.route.endpoint),
-                                &HttpError::overloaded("server is shutting down"),
-                                true,
-                            );
-                        }
-                        Err(_) => unreachable!("a stream job bounces back as a stream job"),
-                    }
-                    return;
-                }
-            }
+    /// Applies the deadlines to a connection the loop holds: a request
+    /// that has not arrived whole by its parse deadline is answered
+    /// `408`; a connection idle past `idle_timeout`, older than
+    /// `conn_lifetime` between requests, or lingering past its
+    /// deadline is closed silently. Lowers `next` to the connection's
+    /// next deadline.
+    fn expire(&self, mut conn: Conn, now: Instant, next: &mut Instant) -> Option<Conn> {
+        let due = conn.due(now, &self.cfg);
+        if now < due {
+            *next = (*next).min(due);
+            return Some(conn);
         }
-        // Burst cap hit with more requests buffered: back of the line.
-        poller.park(conn);
+        if conn.mid_request() {
+            let late = HttpError::request_timeout("request").to_response();
+            self.reply(conn, None, late, true, false);
+        }
+        None
     }
 
-    /// Parses, routes, and dispatches one request off a readable
-    /// connection, under a freshly armed parse deadline.
-    fn parse_one(&self, conn: &mut Conn, tx: &SyncSender<Work>) -> Step {
-        if conn.writer.is_dead() {
-            return Step::Done;
+    /// Reads what a ready connection has and acts on at most one
+    /// request: answers it here, or hands it with the connection to a
+    /// worker. A lingering close only discards what it reads. Returns
+    /// the connection while the loop keeps it.
+    fn serve(&self, mut conn: Conn, scratch: &mut [u8], jobs: &SyncSender<Job>) -> Option<Conn> {
+        if conn.lingering() {
+            return conn.discard(scratch).then_some(conn);
         }
-        conn.set_deadline(Instant::now() + self.cfg.parse_deadline);
-        let head = match read_head(&mut conn.reader) {
-            Ok(Some(head)) => head,
-            // Clean EOF between requests: the peer is done.
-            Ok(None) => return Step::Done,
-            Err(e) => {
-                // Wire-level failure (408/400/431): the byte stream is
-                // not trustworthy past this point, so answer and close.
-                let seq = conn.next_seq();
-                self.submit_error(&conn.writer, seq, None, &e, true);
-                return Step::Done;
-            }
+        // A connection ready without a poll has nothing new to read.
+        if !conn.ready() && !conn.fill(scratch) {
+            return None;
+        }
+        let (head, body, pipelined) = match conn.frame(self.cfg.max_body_bytes) {
+            Frame::Partial => return Some(conn),
+            Frame::Closed => return None,
+            // The byte stream is not trustworthy past a wire-level
+            // failure (400/413/431), so answer and close.
+            Frame::Bad(e) => return self.reply(conn, None, e.to_response(), true, false),
+            Frame::Request { head, body, pipelined } => (head, body, pipelined),
         };
-        let seq = conn.next_seq();
         ppdt_obs::add(Counter::HttpRequests, 1);
-        if seq > 0 {
+        if conn.requests() > 1 {
             ppdt_obs::add(Counter::HttpKeepaliveReuses, 1);
             self.metrics.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        if conn.writer.written() < seq {
+        if pipelined {
             ppdt_obs::add(Counter::HttpPipelinedRequests, 1);
             self.metrics.pipelined_requests.fetch_add(1, Ordering::Relaxed);
         }
-        let close = head.close
-            || self.cfg.keep_alive_requests == 0
-            || conn.seqs_issued >= self.cfg.keep_alive_requests
-            || conn.created.elapsed() >= self.cfg.conn_lifetime
-            || self.stopping();
-
-        let route = match handlers::route_parts(&head.method, &head.path, self.cfg.debug_endpoints)
-        {
-            Ok(r) => r,
-            Err(e) => {
-                // Routing errors (404/405) are request-level: consume
-                // the body so the connection can survive.
-                let mut body = conn.bodies.take();
-                match read_body_into(&mut conn.reader, &head, self.cfg.max_body_bytes, &mut body) {
-                    Ok(()) => {
-                        conn.bodies.put(body);
-                        self.submit_error(&conn.writer, seq, None, &e, close);
-                        return self.after_answer(conn, close);
-                    }
-                    Err(be) => {
-                        self.submit_error(&conn.writer, seq, None, &be, true);
-                        return Step::Done;
-                    }
+        let close = head.close || conn.spent(&self.cfg) || self.stopping();
+        let route = handlers::route_parts(&head.method, &head.path, self.cfg.debug_endpoints);
+        if let Ok(r) = &route {
+            self.metrics.requested(r.endpoint);
+            self.metrics.tenant(&r.tenant).requests.fetch_add(1, Ordering::Relaxed);
+        }
+        let req = Request { method: head.method, path: head.path, body };
+        // With the whole request here, routing errors (404/405) and
+        // the inline endpoints need no worker: liveness, metrics and
+        // version negotiation keep answering while the pool is
+        // saturated.
+        let route = match route {
+            Err(e) if !head.chunked => {
+                conn.recycle(req.body);
+                return self.reply(conn, None, e.to_response(), close, false);
+            }
+            Ok(r) if !head.chunked && r.endpoint.is_inline() => {
+                conn.recycle(req.body);
+                let start = Instant::now();
+                let resp = self.render(r.endpoint);
+                self.metrics.timed(r.endpoint, start.elapsed());
+                return self.reply(conn, Some(r.endpoint), resp, close, false);
+            }
+            route => route,
+        };
+        let job = Job { conn, req, chunked: head.chunked, route, close, enqueued: Instant::now() };
+        match jobs.try_send(job) {
+            Ok(()) => None,
+            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                let endpoint = job.route.as_ref().ok().map(|r| r.endpoint);
+                let full = HttpError::overloaded("request queue is full").to_response();
+                if job.chunked {
+                    self.refuse(job.conn, endpoint, full, false)
+                } else {
+                    self.reply(job.conn, endpoint, full, true, false)
                 }
             }
-        };
-        self.metrics.requested(route.endpoint);
-        self.metrics.tenant(&route.tenant).requests.fetch_add(1, Ordering::Relaxed);
-
-        // A chunked body on the hot endpoints streams: the worker
-        // consumes it incrementally, so don't read a byte of it here.
-        if head.chunked && matches!(route.endpoint, Endpoint::Encode | Endpoint::Classify) {
-            return Step::Stream { seq, close, expect_continue: head.expect_continue, route };
-        }
-
-        if head.expect_continue && head.has_body() {
-            conn.writer.try_continue(seq);
-        }
-        // The body lands in a per-connection recycled buffer: requests
-        // after the first on a keep-alive connection read it without
-        // touching the allocator.
-        let mut body = conn.bodies.take();
-        if let Err(e) = read_body_into(&mut conn.reader, &head, self.cfg.max_body_bytes, &mut body)
-        {
-            self.submit_error(&conn.writer, seq, Some(route.endpoint), &e, true);
-            return Step::Done;
-        }
-
-        if route.endpoint.is_inline() {
-            // Liveness, metrics, and version negotiation bypass the
-            // queue so they stay responsive while the pool is
-            // saturated. None of them reads the body, so the buffer
-            // goes straight back.
-            conn.bodies.put(body);
-            let start = Instant::now();
-            let resp = match route.endpoint {
-                Endpoint::Healthz => self.render_healthz(),
-                Endpoint::Version => self.render_version(),
-                _ => self.render_metrics(),
-            };
-            self.metrics.timed(route.endpoint, start.elapsed());
-            self.submit(&conn.writer, seq, route.endpoint, resp, close);
-            return self.after_answer(conn, close);
-        }
-
-        let req = Request { method: head.method, path: head.path, body };
-        let job = Job {
-            writer: Arc::clone(&conn.writer),
-            bodies: Arc::clone(&conn.bodies),
-            seq,
-            close,
-            req,
-            route,
-            enqueued: Instant::now(),
-        };
-        match tx.try_send(Work::Buffered(job)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(Work::Buffered(job))) => {
-                self.submit_error(
-                    &job.writer,
-                    job.seq,
-                    Some(job.route.endpoint),
-                    &HttpError::overloaded("request queue is full"),
-                    true,
-                );
-                return Step::Done;
-            }
-            Err(TrySendError::Disconnected(Work::Buffered(job))) => {
-                self.submit_error(
-                    &job.writer,
-                    job.seq,
-                    Some(job.route.endpoint),
-                    &HttpError::overloaded("server is shutting down"),
-                    true,
-                );
-                return Step::Done;
-            }
-            Err(_) => unreachable!("a buffered job bounces back as a buffered job"),
-        }
-        self.after_answer(conn, close)
-    }
-
-    /// After a request is dispatched: close ends the connection, more
-    /// buffered bytes mean another pipelined request, anything else
-    /// parks.
-    fn after_answer(&self, conn: &Conn, close: bool) -> Step {
-        if close || conn.writer.is_dead() {
-            Step::Done
-        } else if conn.has_buffered() {
-            Step::Continue
-        } else {
-            Step::Park
         }
     }
 
-    fn worker_loop(&self, rx: &Mutex<Receiver<Work>>, poller: &Poller) {
+    fn worker_loop(&self, queue: &Mutex<Receiver<Job>>, handback: &Handback) {
         loop {
             // Lock only around `recv` so workers take turns pulling
             // jobs; processing runs unlocked.
-            let work = {
-                let Ok(guard) = rx.lock() else { return };
+            let job = {
+                let Ok(guard) = queue.lock() else { return };
                 match guard.recv() {
-                    Ok(work) => work,
+                    Ok(job) => job,
                     Err(_) => return, // sender dropped: drain complete
                 }
             };
-            match work {
-                Work::Buffered(job) => self.process(job),
-                Work::Stream(job) => self.process_stream(job, poller),
+            if let Some(mut conn) = self.process(job) {
+                if conn.unblock().is_ok() {
+                    handback.give(conn);
+                }
             }
         }
     }
@@ -941,6 +748,7 @@ impl Server {
         let cap = self.cfg.tenant_max_inflight as u64;
         if cap > 0 && n > cap {
             guard.0.quota_rejected.fetch_add(1, Ordering::Relaxed);
+            self.metrics.tenant_errored(tenant);
             return Err(HttpError::too_many_requests(format!(
                 "tenant {tenant} is over its in-flight quota ({cap})"
             )));
@@ -948,175 +756,210 @@ impl Server {
         Ok(guard)
     }
 
-    fn process(&self, mut job: Job) {
-        if job.enqueued.elapsed() > self.cfg.request_deadline {
-            self.submit_error(
-                &job.writer,
-                job.seq,
-                Some(job.route.endpoint),
-                &HttpError::overloaded("request waited past its deadline"),
-                true,
-            );
-            return;
+    /// Runs one request on a worker and writes its answer. Returns the
+    /// connection if it stays open.
+    fn process(&self, job: Job) -> Option<Conn> {
+        let Job { mut conn, mut req, chunked, route, close, enqueued } = job;
+        let endpoint = route.as_ref().ok().map(|r| r.endpoint);
+        if enqueued.elapsed() > self.cfg.request_deadline {
+            let late = HttpError::overloaded("request waited past its deadline").to_response();
+            return if chunked {
+                self.refuse(conn, endpoint, late, true)
+            } else {
+                self.reply(conn, endpoint, late, true, true)
+            };
         }
-        let _in_flight = self.enter_flight();
-        let _tenant_flight = match self.enter_tenant_flight(&job.route.tenant) {
-            Ok(guard) => guard,
+        if chunked {
+            if let Ok(r) = &route {
+                if matches!(r.endpoint, Endpoint::Encode | Endpoint::Classify) {
+                    return self.process_stream(conn, r, close);
+                }
+            }
+            // Other endpoints buffer a chunked body under the parse
+            // deadline.
+            let deadline = Instant::now() + self.cfg.parse_deadline;
+            let max = self.cfg.max_body_bytes;
+            match conn.read_through(deadline, |body, _| read_chunked_into(body, max, &mut req.body))
+            {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => return self.refuse(conn, endpoint, e.to_response(), true),
+                Err(_) => return None,
+            }
+        }
+        let route = match route {
+            Ok(route) => route,
             Err(e) => {
-                // A quota bounce consumed the body cleanly (it was
-                // buffered before queuing), so the connection survives.
-                job.bodies.put(std::mem::take(&mut job.req.body));
-                self.metrics.tenant_errored(&job.route.tenant);
-                self.submit_error(&job.writer, job.seq, Some(job.route.endpoint), &e, job.close);
-                return;
+                conn.recycle(req.body);
+                return self.reply(conn, None, e.to_response(), close, true);
             }
         };
-        let _t = ppdt_obs::phase(job.route.endpoint.phase_name());
+        let resp = self.run_handler(&route, &req);
+        // The handler is done with the body: recycle the buffer for
+        // the connection's next keep-alive request.
+        conn.recycle(req.body);
+        self.reply(conn, endpoint, resp, close, true)
+    }
+
+    /// Runs the handler of a whole request under the in-flight gauges,
+    /// which close before its answer is written. A tenant over its
+    /// in-flight quota is answered `429`; its body was read, so the
+    /// connection survives that.
+    fn run_handler(&self, route: &Route, req: &Request) -> Response {
+        let _in_flight = self.enter_flight();
+        let _tenant_flight = match self.enter_tenant_flight(&route.tenant) {
+            Ok(guard) => guard,
+            Err(e) => return e.to_response(),
+        };
+        let _t = ppdt_obs::phase(route.endpoint.phase_name());
         let start = Instant::now();
         // A handler panic is a bug, but it must cost one 500, not a
         // worker thread for the daemon's remaining lifetime.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handlers::handle(&job.route, &job.req, &self.ctx())
+            if route.endpoint.is_inline() {
+                Ok(self.render(route.endpoint))
+            } else {
+                handlers::handle(route, req, &self.ctx())
+            }
         }));
-        // The handler is done with the body: recycle the buffer for
-        // the connection's next keep-alive request.
-        job.bodies.put(std::mem::take(&mut job.req.body));
-        self.metrics.timed(job.route.endpoint, start.elapsed());
-        match outcome {
-            Ok(Ok(resp)) => {
-                if resp.status >= 400 {
-                    self.metrics.tenant_errored(&job.route.tenant);
-                }
-                self.submit(&job.writer, job.seq, job.route.endpoint, resp, job.close)
-            }
-            Ok(Err(e)) => {
-                // Handler-level errors consumed the body cleanly: the
-                // connection survives (overload 503s always close).
-                let close = job.close || e.status == 503;
-                self.metrics.tenant_errored(&job.route.tenant);
-                self.submit_error(&job.writer, job.seq, Some(job.route.endpoint), &e, close);
-            }
-            Err(_) => {
-                let e = HttpError::from(PpdtError::internal(format!(
-                    "handler for {} panicked",
-                    job.route.endpoint.name()
-                )));
-                self.metrics.tenant_errored(&job.route.tenant);
-                self.submit_error(&job.writer, job.seq, Some(job.route.endpoint), &e, job.close);
-            }
+        self.metrics.timed(route.endpoint, start.elapsed());
+        let resp = match outcome {
+            Ok(Ok(resp)) => resp,
+            Ok(Err(e)) => e.to_response(),
+            Err(_) => HttpError::from(PpdtError::internal(format!(
+                "handler for {} panicked",
+                route.endpoint.name()
+            )))
+            .to_response(),
+        };
+        if resp.status >= 400 {
+            self.metrics.tenant_errored(&route.tenant);
         }
+        resp
     }
 
-    /// Runs one streaming request end to end on a worker thread, then
-    /// re-parks the connection (keep-alive) or drops it.
-    fn process_stream(&self, mut job: StreamJob, poller: &Poller) {
-        if job.enqueued.elapsed() > self.cfg.request_deadline {
-            self.submit_error(
-                &job.conn.writer,
-                job.seq,
-                Some(job.route.endpoint),
-                &HttpError::overloaded("request waited past its deadline"),
-                true,
-            );
-            return;
-        }
-        let _in_flight = self.enter_flight();
-        let _tenant_flight = match self.enter_tenant_flight(&job.route.tenant) {
-            Ok(guard) => guard,
-            Err(e) => {
-                // The chunked body was never consumed, so the wire is
-                // mid-request: answer `429` and close.
-                self.metrics.tenant_errored(&job.route.tenant);
-                self.submit_error(&job.conn.writer, job.seq, Some(job.route.endpoint), &e, true);
-                return;
-            }
-        };
-        let _t = ppdt_obs::phase(job.route.endpoint.phase_name());
-        let start = Instant::now();
-        let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stream::run(
-                &mut job.conn,
-                job.seq,
-                job.close,
-                job.expect_continue,
-                &job.route,
-                &self.ctx(),
-                &self.cfg,
-            )
-        }));
-        self.metrics.timed(job.route.endpoint, start.elapsed());
-        match end {
-            Ok(StreamEnd::Done { keep, chunks, .. }) => {
+    /// Runs one streaming (chunked encode/classify) request on a
+    /// worker. Returns the connection if it stays open.
+    fn process_stream(&self, mut conn: Conn, route: &Route, close: bool) -> Option<Conn> {
+        let endpoint = route.endpoint;
+        match self.run_stream(&mut conn, route, close) {
+            Ok(StreamEnd::Done { chunks, .. }) => {
                 self.metrics.streamed_chunks.fetch_add(chunks, Ordering::Relaxed);
-                if keep && !job.conn.writer.is_dead() {
-                    // Re-arm the idle clock and wait for the next
-                    // request (which may already be buffered).
-                    poller.park(job.conn);
-                }
+                (!close).then_some(conn)
             }
             Ok(StreamEnd::Error(e)) => {
                 // Failed before the response started; the body was not
                 // fully consumed, so the connection must close.
-                self.metrics.tenant_errored(&job.route.tenant);
-                self.submit_error(&job.conn.writer, job.seq, Some(job.route.endpoint), &e, true);
+                self.metrics.tenant_errored(&route.tenant);
+                self.refuse(conn, Some(endpoint), e.to_response(), true)
             }
             Ok(StreamEnd::Aborted) => {
-                // Mid-response failure: the writer is already dead and
-                // the socket shut down; dropping the conn finishes it.
-                self.metrics.errored(job.route.endpoint);
-                self.metrics.tenant_errored(&job.route.tenant);
+                // Mid-response failure: dropping the connection ends
+                // the body without its terminal chunk.
+                self.metrics.errored(endpoint);
+                self.metrics.tenant_errored(&route.tenant);
                 ppdt_obs::add(Counter::HttpErrors, 1);
+                None
             }
-            Err(_) => {
-                let e = HttpError::from(PpdtError::internal(format!(
-                    "streaming handler for {} panicked",
-                    job.route.endpoint.name()
-                )));
-                // If the panic happened mid-response the writer is
-                // poisoned → dead, and this submit is a no-op.
-                self.metrics.tenant_errored(&job.route.tenant);
-                self.submit_error(&job.conn.writer, job.seq, Some(job.route.endpoint), &e, true);
-            }
+            // Over the tenant's in-flight quota, with the chunked body
+            // still on the wire: answer `429` and close.
+            Err(e) => self.refuse(conn, Some(endpoint), e.to_response(), true),
         }
     }
 
-    /// Books a response (error statuses count as endpoint errors) and
-    /// hands it to the connection's ordered writer.
-    fn submit(
+    /// Runs a streaming handler, which writes its own answer, under
+    /// the in-flight gauges. `Err` is a tenant over its in-flight
+    /// quota, refused before the handler ran.
+    fn run_stream(
         &self,
-        writer: &ConnWriter,
-        seq: u64,
-        endpoint: Endpoint,
+        conn: &mut Conn,
+        route: &Route,
+        close: bool,
+    ) -> Result<StreamEnd, HttpError> {
+        let _in_flight = self.enter_flight();
+        let _tenant_flight = self.enter_tenant_flight(&route.tenant)?;
+        let _t = ppdt_obs::phase(route.endpoint.phase_name());
+        let start = Instant::now();
+        let mut started = false;
+        let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream::run(conn, &mut started, close, route, &self.ctx(), &self.cfg)
+        }));
+        self.metrics.timed(route.endpoint, start.elapsed());
+        Ok(end.unwrap_or_else(|_| {
+            if started {
+                StreamEnd::Aborted
+            } else {
+                StreamEnd::Error(HttpError::from(PpdtError::internal(format!(
+                    "streaming handler for {} panicked",
+                    route.endpoint.name()
+                ))))
+            }
+        }))
+    }
+
+    /// Books an answer and writes it; every `503` closes. `may_block`
+    /// lets a worker wait on a slow reader; the loop never does.
+    /// Returns the connection if it stays open.
+    fn reply(
+        &self,
+        mut conn: Conn,
+        endpoint: Option<Endpoint>,
         resp: Response,
         close: bool,
-    ) {
-        if resp.status >= 400 {
-            self.metrics.errored(endpoint);
-            ppdt_obs::add(Counter::HttpErrors, 1);
-        }
-        writer.submit(seq, resp, close);
+        may_block: bool,
+    ) -> Option<Conn> {
+        let close = close || resp.status == 503;
+        (self.answer(&mut conn, endpoint, &resp, close, may_block) && !close).then_some(conn)
     }
 
-    /// Books an error (503s count as backpressure, everything else as
-    /// an error) and hands it to the connection's ordered writer.
-    fn submit_error(
+    /// Answers a request whose body is still on the wire, and closes
+    /// the connection lingeringly: the loop reads and discards what
+    /// the peer still sends, up to `max_body_bytes` and until the
+    /// parse deadline, so a client still uploading reads the answer
+    /// instead of a reset. Returns the connection, for the loop to
+    /// linger on.
+    fn refuse(
         &self,
-        writer: &ConnWriter,
-        seq: u64,
+        mut conn: Conn,
         endpoint: Option<Endpoint>,
-        e: &HttpError,
+        resp: Response,
+        may_block: bool,
+    ) -> Option<Conn> {
+        let sent = self.answer(&mut conn, endpoint, &resp, true, may_block);
+        (sent && conn.linger(self.cfg.max_body_bytes)).then_some(conn)
+    }
+
+    /// Books an answer and writes it: an error status counts against
+    /// its endpoint, a `503` as backpressure. Returns whether the
+    /// answer went out whole.
+    fn answer(
+        &self,
+        conn: &mut Conn,
+        endpoint: Option<Endpoint>,
+        resp: &Response,
         close: bool,
-    ) {
-        if let Some(ep) = endpoint {
-            self.metrics.errored(ep);
+        may_block: bool,
+    ) -> bool {
+        if resp.status >= 400 {
+            if let Some(ep) = endpoint {
+                self.metrics.errored(ep);
+            }
+            if resp.status == 503 {
+                ppdt_obs::add(Counter::HttpRejected, 1);
+                self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            } else {
+                ppdt_obs::add(Counter::HttpErrors, 1);
+            }
         }
-        if e.status == 503 {
-            ppdt_obs::add(Counter::HttpRejected, 1);
-            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        } else {
-            ppdt_obs::add(Counter::HttpErrors, 1);
+        conn.send(resp, close, may_block).is_ok()
+    }
+
+    /// The answer to an inline endpoint.
+    fn render(&self, endpoint: Endpoint) -> Response {
+        match endpoint {
+            Endpoint::Healthz => self.render_healthz(),
+            Endpoint::Version => self.render_version(),
+            _ => self.render_metrics(),
         }
-        writer.submit(seq, e.to_response(), close);
     }
 
     fn render_healthz(&self) -> Response {

@@ -1,9 +1,10 @@
 //! Minimal SIGINT/SIGTERM latching without a libc dependency.
 //!
 //! The handler does the only async-signal-safe thing there is to do:
-//! store one atomic flag. The accept loop polls
-//! [`signalled`] between accepts and begins the graceful drain when
-//! it flips.
+//! store one atomic flag. The readiness loop checks [`signalled`]
+//! every time its poll returns — at least once per 100 ms tick, and at
+//! once when the signal interrupts the poll — and begins the graceful
+//! drain when it flips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -30,7 +30,6 @@
 //! an aborted body.
 
 use std::io::{BufRead, BufReader, Write};
-use std::sync::Arc;
 use std::time::Instant;
 
 use ppdt_data::AttrId;
@@ -49,54 +48,65 @@ const MAX_ROW_LINE: usize = 1024 * 1024;
 
 /// How a streaming request ended, from the connection's perspective.
 pub(crate) enum StreamEnd {
-    /// Response fully streamed; `keep` says whether the connection
-    /// survives for the next request.
-    Done { keep: bool, rows: u64, chunks: u64 },
+    /// Response fully streamed.
+    Done { rows: u64, chunks: u64 },
     /// Failed before the response head was written: answer this as a
     /// normal JSON error. The body was not fully consumed, so the
-    /// connection must close afterwards.
+    /// connection closes afterwards, lingeringly.
     Error(HttpError),
     /// Failed after the response head was written: the wire is
-    /// mid-body and unrecoverable, the connection is already dead.
+    /// mid-body and unrecoverable, the connection must be dropped.
     Aborted,
 }
 
-/// Runs one streaming request on a worker thread. `seq`/`close_after`
-/// come from the parser (response ordering and keep-alive policy),
-/// `expect_continue` triggers the interim `100` once it is this
-/// request's turn.
-#[allow(clippy::too_many_arguments)]
+/// Runs one streaming request on a worker thread, reading the chunked
+/// body off `conn` under `stream_deadline` and writing the answer
+/// straight to its socket. `started` turns true just before the
+/// response head is written, so a caller catching a panic knows
+/// whether an error answer can still be sent.
 pub(crate) fn run(
     conn: &mut Conn,
-    seq: u64,
+    started: &mut bool,
     close_after: bool,
-    expect_continue: bool,
     route: &Route,
     shared: &HandlerCtx,
     cfg: &ServerConfig,
 ) -> StreamEnd {
-    conn.set_deadline(Instant::now() + cfg.stream_deadline);
-    if expect_continue {
-        conn.writer.try_continue(seq);
-    }
     let ctx = shared.scoped(&route.tenant);
-    let writer = Arc::clone(&conn.writer);
-    let mut body = BufReader::new(ChunkedReader::new(&mut conn.reader));
-    let mut out = match route.endpoint {
-        Endpoint::Encode => stream_encode(&writer, &mut body, seq, close_after, &ctx, cfg),
-        Endpoint::Classify => stream_classify(&writer, &mut body, seq, close_after, &ctx, cfg),
-        _ => StreamEnd::Error(HttpError::from(PpdtError::internal(
-            "streaming dispatched to a non-streamable endpoint",
-        ))),
-    };
-    if let StreamEnd::Done { rows, chunks, .. } = &mut out {
-        // `chunks` leaves here as the full wire-chunk count: response
-        // chunks written plus request chunks decoded.
-        *chunks += body.get_ref().chunks_read();
-        ppdt_obs::add(ppdt_obs::Counter::StreamedChunks, *chunks);
-        ppdt_obs::add(ppdt_obs::Counter::RowsEncoded, *rows);
-    }
-    out
+    let deadline = Instant::now() + cfg.stream_deadline;
+    let end = conn.read_through(deadline, |reader, mut out| {
+        let mut body = BufReader::new(ChunkedReader::new(reader));
+        let mut end = match route.endpoint {
+            Endpoint::Encode => stream_encode(&mut out, started, &mut body, close_after, &ctx, cfg),
+            Endpoint::Classify => {
+                stream_classify(&mut out, started, &mut body, close_after, &ctx, cfg)
+            }
+            _ => StreamEnd::Error(HttpError::from(PpdtError::internal(
+                "streaming dispatched to a non-streamable endpoint",
+            ))),
+        };
+        if let StreamEnd::Done { rows, chunks } = &mut end {
+            // `chunks` leaves here as the full wire-chunk count:
+            // response chunks written plus request chunks decoded.
+            *chunks += body.get_ref().chunks_read();
+            ppdt_obs::add(ppdt_obs::Counter::StreamedChunks, *chunks);
+            ppdt_obs::add(ppdt_obs::Counter::RowsEncoded, *rows);
+        }
+        end
+    });
+    // The socket could not be switched to blocking reads.
+    end.unwrap_or(StreamEnd::Aborted)
+}
+
+/// Marks the response `started`, then writes it whole through `send`
+/// (head, chunks, terminator). An `Err` leaves the wire mid-body.
+fn respond<W: Write>(
+    out: &mut W,
+    started: &mut bool,
+    send: impl FnOnce(&mut W) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    *started = true;
+    send(out)
 }
 
 /// Reads one `\n`-terminated line off the de-chunked body, capped at
@@ -280,11 +290,10 @@ fn abort(e: HttpError) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{} ({})", e.message, e.code))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn stream_encode<R: BufRead>(
-    writer: &crate::conn::ConnWriter,
+fn stream_encode<R: BufRead, W: Write>(
+    out: &mut W,
+    started: &mut bool,
     body: &mut R,
-    seq: u64,
     close_after: bool,
     ctx: &RequestCtx,
     cfg: &ServerConfig,
@@ -362,7 +371,7 @@ fn stream_encode<R: BufRead>(
     let mut rows = batch.rows as u64;
     let mut chunks = 0u64;
     let mut text = String::new();
-    let streamed = writer.stream_response(seq, |w| {
+    let streamed = respond(out, started, |w| {
         write_stream_head(w, 200, "text/csv", close_after)?;
         write_chunk(w, format!("{csv_header}\n").as_bytes())?;
         chunks += 1;
@@ -381,20 +390,18 @@ fn stream_encode<R: BufRead>(
             chunks += 1;
             w.flush()?;
         }
-        finish_chunked(w)?;
-        Ok(close_after)
+        finish_chunked(w)
     });
     match streamed {
-        Ok(()) => StreamEnd::Done { keep: !close_after, rows, chunks },
-        Err(()) => StreamEnd::Aborted,
+        Ok(()) => StreamEnd::Done { rows, chunks },
+        Err(_) => StreamEnd::Aborted,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn stream_classify<R: BufRead>(
-    writer: &crate::conn::ConnWriter,
+fn stream_classify<R: BufRead, W: Write>(
+    out: &mut W,
+    started: &mut bool,
     body: &mut R,
-    seq: u64,
     close_after: bool,
     ctx: &RequestCtx,
     cfg: &ServerConfig,
@@ -423,17 +430,10 @@ fn stream_classify<R: BufRead>(
         Ok(plan) => plan,
         Err(e) => return StreamEnd::Error(e),
     };
-    let tree = match handlers::validated_tree(
-        ctx.caches,
-        ctx.tenant,
-        &header.key_id,
-        &plan,
-        &header.tree,
-        true,
-    ) {
-        Ok(tree) => tree,
-        Err(e) => return StreamEnd::Error(e),
-    };
+    if let Err(e) = handlers::check_tree(&plan, &header.tree) {
+        return StreamEnd::Error(e);
+    }
+    let tree = &header.tree;
 
     let num_attrs = plan.plan.num_attrs();
     let max_rows = cfg.stream_chunk_rows.max(1);
@@ -462,7 +462,7 @@ fn stream_classify<R: BufRead>(
             let _ = writeln!(text, "{}", tree.predict(point).0);
         }
     };
-    let streamed = writer.stream_response(seq, |w| {
+    let streamed = respond(out, started, |w| {
         write_stream_head(w, 200, "text/plain", close_after)?;
         render(&batch, &mut text, &mut point);
         write_chunk(w, text.as_bytes())?;
@@ -479,11 +479,10 @@ fn stream_classify<R: BufRead>(
             chunks += 1;
             w.flush()?;
         }
-        finish_chunked(w)?;
-        Ok(close_after)
+        finish_chunked(w)
     });
     match streamed {
-        Ok(()) => StreamEnd::Done { keep: !close_after, rows, chunks },
-        Err(()) => StreamEnd::Aborted,
+        Ok(()) => StreamEnd::Done { rows, chunks },
+        Err(_) => StreamEnd::Aborted,
     }
 }

@@ -1,15 +1,16 @@
 //! Hot-path cache behavior over the wire: version negotiation, warm
-//! requests hitting the compiled-plan and tree caches, bit-identical
-//! cold-vs-warm answers, and — the part that matters for trust — a
-//! cached plan being *invalidated* when the key's envelope on disk is
-//! replaced with different content.
+//! requests hitting the compiled-plan and decoded-tree caches,
+//! bit-identical cold-vs-warm answers, and — the part that matters for
+//! trust — a cached plan being *invalidated* when the key's envelope on
+//! disk is replaced with different content.
 
 mod common;
 
-use ppdt_data::csv::to_csv;
+use ppdt_data::csv::{parse_csv, to_csv};
 use ppdt_data::gen::census_like;
 use ppdt_serve::handlers::{
-    ClassifyRequest, ClassifyResponse, EncodeRequest, StoreKeyRequest, StoreKeyResponse,
+    ClassifyRequest, ClassifyResponse, DecodeTreeRequest, EncodeRequest, EncodeResponse,
+    StoreKeyRequest, StoreKeyResponse,
 };
 use ppdt_serve::{request, ServerConfig, VersionResponse};
 use ppdt_transform::{EncodeConfig, Encoder, TransformKey};
@@ -102,7 +103,7 @@ fn warm_requests_hit_the_caches_and_match_cold_answers() {
         "warm encodes must hit the plan cache ({hits_before} -> {hits_after})"
     );
 
-    // Repeated classify of the same tree payload hits the tree cache.
+    // Repeated classify of the same tree payload answers identically.
     let mut rng = StdRng::seed_from_u64(72);
     let d_prime =
         Encoder::new(EncodeConfig::default()).encode(&mut rng, &d).expect("local encode").dataset;
@@ -115,7 +116,6 @@ fn warm_requests_hit_the_caches_and_match_cold_answers() {
         rows: rows.clone(),
     })
     .expect("serialize");
-    let tree_hits_before = counter_value(&warm_srv, "tree_cache_hits");
     let (sa, a) =
         request(warm_srv.addr, "POST", "/v1/classify", &classify_payload).expect("classify");
     let (sb, b) =
@@ -123,11 +123,29 @@ fn warm_requests_hit_the_caches_and_match_cold_answers() {
     assert_eq!((sa, sb), (200, 200), "{a}\n{b}");
     let ra: ClassifyResponse = serde_json::from_str(&a).expect("parses");
     let rb: ClassifyResponse = serde_json::from_str(&b).expect("parses");
-    assert_eq!(ra.labels, rb.labels, "cached tree must classify identically");
+    assert_eq!(ra.labels, rb.labels, "repeat classify must label identically");
+
+    // Repeated decode-tree of the same payload hits the tree cache:
+    // a tree mined on the daemon's own encode, replayed on the table.
+    let encoded: EncodeResponse = serde_json::from_str(&warm1).expect("parses");
+    let mined_d_prime = parse_csv(&encoded.csv.expect("csv")).expect("encoded CSV parses");
+    let decode_payload = serde_json::to_string(&DecodeTreeRequest {
+        key_id: warm_id.clone(),
+        tree: TreeBuilder::default().fit(&mined_d_prime),
+        csv: Some(csv.clone()),
+    })
+    .expect("serialize");
+    let tree_hits_before = counter_value(&warm_srv, "tree_cache_hits");
+    let (sa, a) =
+        request(warm_srv.addr, "POST", "/v1/decode-tree", &decode_payload).expect("decode-tree");
+    let (sb, b) =
+        request(warm_srv.addr, "POST", "/v1/decode-tree", &decode_payload).expect("decode-tree");
+    assert_eq!((sa, sb), (200, 200), "{a}\n{b}");
+    assert_eq!(a, b, "cached decoded tree must answer identically");
     let tree_hits_after = counter_value(&warm_srv, "tree_cache_hits");
     assert!(
         tree_hits_after > tree_hits_before,
-        "repeat classify must hit the tree cache ({tree_hits_before} -> {tree_hits_after})"
+        "repeat decode-tree must hit the tree cache ({tree_hits_before} -> {tree_hits_after})"
     );
 
     warm_srv.stop();

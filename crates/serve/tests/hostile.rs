@@ -191,6 +191,88 @@ fn slow_connections_cannot_stall_liveness() {
     srv.stop();
 }
 
+/// Slow heads cost no thread: with a single worker and three
+/// connections stalled mid-head — more than any fixed set of reader
+/// threads would hold — liveness and a pooled request still answer
+/// promptly, and every stalled connection is cut off with `408` at the
+/// parse deadline.
+#[test]
+fn slow_heads_cost_no_worker() {
+    use std::time::{Duration, Instant};
+    let cfg = ServerConfig {
+        workers: 1,
+        parse_deadline: Duration::from_millis(700),
+        ..ServerConfig::default()
+    };
+    let srv = common::start(cfg, "slowheads");
+
+    let mut stalled = Vec::new();
+    for _ in 0..3 {
+        let mut conn = TcpStream::connect(srv.addr).expect("connect");
+        conn.write_all(b"GET /v1/keys HTTP/1.1\r\nhost: loc").expect("write");
+        stalled.push(conn);
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    for path in ["/healthz", "/v1/keys"] {
+        let started = Instant::now();
+        let (status, body) = request(srv.addr, "GET", path, "").expect("answered");
+        assert_eq!(status, 200, "{path}: {body}");
+        assert!(
+            started.elapsed() < Duration::from_millis(300),
+            "{path} waited {:?} behind stalled heads",
+            started.elapsed()
+        );
+    }
+
+    for mut conn in stalled {
+        conn.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let mut out = Vec::new();
+        conn.read_to_end(&mut out).expect("read");
+        let text = String::from_utf8_lossy(&out);
+        assert!(text.starts_with("HTTP/1.1 408"), "{text}");
+        assert!(text.contains("request_timeout"), "{text}");
+    }
+
+    assert_healthy(&srv);
+    srv.stop();
+}
+
+/// Clients that pipeline requests and never read the answers cannot
+/// stall the daemon: its own answers never wait on a full socket, so
+/// liveness on another connection stays prompt while they fill up.
+#[test]
+fn clients_that_stop_reading_cannot_stall_liveness() {
+    use std::time::{Duration, Instant};
+    let cfg = ServerConfig { keep_alive_requests: u64::MAX, ..ServerConfig::default() };
+    let srv = common::start(cfg, "nonreader");
+
+    let burst = b"GET /metrics HTTP/1.1\r\n\r\n".repeat(40_000);
+    let mut hogs = Vec::new();
+    for _ in 0..3 {
+        let mut hog = TcpStream::connect(srv.addr).expect("connect");
+        hog.set_write_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        // The daemon may drop the connection before it takes it all.
+        let _ = hog.write_all(&burst);
+        hogs.push(hog);
+    }
+
+    for _ in 0..5 {
+        let started = Instant::now();
+        let (status, _) = request(srv.addr, "GET", "/healthz", "").expect("healthz");
+        assert_eq!(status, 200);
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "healthz waited {:?} behind clients that stopped reading",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
+    drop(hogs);
+    srv.stop();
+}
+
 /// A panicking handler costs one `500`, not a worker thread: with a
 /// single worker, a dead worker would hang every later request, and a
 /// leaked in-flight increment would pin the gauge above zero forever.

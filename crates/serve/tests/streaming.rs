@@ -18,6 +18,7 @@ use ppdt_transform::{EncodeConfig, Encoder, TransformKey};
 use ppdt_tree::TreeBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
 fn sample(seed: u64, rows: usize) -> (ppdt_data::Dataset, TransformKey) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -195,6 +196,103 @@ fn chunked_bodies_work_on_buffered_endpoints_too() {
     assert_eq!(status, 201, "{body}");
     let stored: StoreKeyResponse = serde_json::from_str(&body).expect("parses");
     assert!(stored.created);
+
+    srv.stop();
+}
+
+#[test]
+fn requests_pipelined_after_a_chunked_body_are_answered_in_order() {
+    let srv = common::start(ServerConfig::default(), "streampipe");
+    // Bodies large enough that a worker stops reading a chunked body
+    // with bytes of the next requests both in its own read buffer and
+    // still in what the loop had buffered.
+    let (d, key) = sample(23, 1000);
+    let key_id = store(&srv, &key);
+    let (_, other) = sample(29, 1000);
+    let chunk = |data: &[u8]| {
+        let mut framed = format!("{:x}\r\n", data.len()).into_bytes();
+        framed.extend_from_slice(data);
+        framed.extend_from_slice(b"\r\n");
+        framed
+    };
+
+    // One write: a chunked store (buffered by a worker), a pipelined
+    // healthz, a chunked streaming encode, a pipelined version. Every
+    // byte past each chunked body belongs to the next request.
+    let mut wire = b"POST /v1/keys HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
+    let payload = serde_json::to_string(&StoreKeyRequest { key: other }).expect("serialize");
+    for piece in payload.as_bytes().chunks(300) {
+        wire.extend(chunk(piece));
+    }
+    wire.extend_from_slice(b"0\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n");
+    wire.extend_from_slice(b"POST /v1/encode HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n");
+    wire.extend(chunk(format!("{{\"key_id\": \"{key_id}\"}}\n{}", to_csv(&d)).as_bytes()));
+    wire.extend_from_slice(b"0\r\n\r\nGET /v1/version HTTP/1.1\r\nconnection: close\r\n\r\n");
+
+    let text = ppdt_serve::client::raw_probe(srv.addr, &wire, std::time::Duration::from_secs(10))
+        .expect("pipelined burst");
+    let statuses: Vec<&str> =
+        text.split("HTTP/1.1 ").skip(1).filter_map(|r| r.split_whitespace().next()).collect();
+    assert_eq!(statuses, ["201", "200", "200", "200"], "{text}");
+    let healthz = text.find("\"ok\"").expect("healthz answered");
+    let encoded = text.find("text/csv").expect("encode streamed");
+    let version = text.find("api_schema_version").expect("version answered");
+    assert!(healthz < encoded && encoded < version, "in request order: {text}");
+
+    srv.stop();
+}
+
+#[test]
+fn a_stream_longer_than_the_idle_timeout_keeps_its_connection() {
+    let cfg = ServerConfig { idle_timeout: Duration::from_millis(400), ..ServerConfig::default() };
+    let srv = common::start(cfg, "streamidle");
+    let (d, key) = sample(31, 60);
+    let key_id = store(&srv, &key);
+
+    // The upload outlasts the idle timeout, counted from the accept.
+    let mut client = Client::connect(srv.addr).expect("connect");
+    client.send_chunked_head("POST", "/v1/encode").expect("chunked head");
+    client.send_chunk(format!("{{\"key_id\": \"{key_id}\"}}\n").as_bytes()).expect("header");
+    std::thread::sleep(Duration::from_millis(900));
+    client.send_chunk(to_csv(&d).as_bytes()).expect("rows");
+    client.finish_chunks().expect("finish");
+    let (status, body) = client.read_response().expect("streamed answer");
+    assert_eq!(status, 200, "{body}");
+    assert!(!client.server_closed(), "the stream answered keep-alive");
+
+    // The idle clock starts when the answer ends, so the same socket
+    // takes a request sent well inside the idle timeout after it.
+    std::thread::sleep(Duration::from_millis(100));
+    client.send("GET", "/healthz", "").expect("second request");
+    let (status, body) = client.read_response().expect("answered on the same connection");
+    assert_eq!(status, 200, "{body}");
+
+    srv.stop();
+}
+
+#[test]
+fn a_refused_stream_is_answered_before_its_body_ends() {
+    let srv = common::start(ServerConfig::default(), "streamrefuse");
+    let (d, _) = sample(37, 400);
+
+    // An unknown key is refused as soon as the stream header arrives,
+    // before a single row is sent.
+    let mut client = Client::connect(srv.addr).expect("connect");
+    client.send_chunked_head("POST", "/v1/encode").expect("chunked head");
+    let header = format!("{{\"key_id\": \"{}\"}}\n", "0f".repeat(16));
+    client.send_chunk(header.as_bytes()).expect("header");
+    let started = Instant::now();
+    let (status, body) = client.read_response().expect("early answer");
+    assert_eq!(status, 404, "{body}");
+    assert!(started.elapsed() < Duration::from_secs(5), "answered at once");
+    assert!(client.server_closed(), "the unread body closes the connection");
+
+    // A client that uploads its rows anyway is not cut off by a reset:
+    // the daemon reads and discards them before it closes.
+    for piece in to_csv(&d).as_bytes().chunks(97) {
+        client.send_chunk(piece).expect("rows after the answer");
+    }
+    client.finish_chunks().expect("finish");
 
     srv.stop();
 }

@@ -23,9 +23,6 @@ cargo test -p ppdt-transform --test fault_injection -q
 echo "== panic gate (library code must use typed errors)"
 python3 scripts/panic_gate.py
 
-echo "== deprecated-API gate (legacy encode free functions stay in their shim)"
-python3 scripts/deprecated_gate.py
-
 echo "== protocol gate (docs/PROTOCOL.md matches the serve router)"
 python3 scripts/protocol_gate.py --self-check
 python3 scripts/protocol_gate.py

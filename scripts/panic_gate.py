@@ -10,9 +10,12 @@ driver operates on trusted synthetic data).
 Known trusted-invariant sites are allowlisted in
 `scripts/panic_allowlist.txt`: one `path pattern` pair per line, where
 `pattern` is a literal substring of the offending line. Every entry
-should carry a trailing `# reason`.
+should carry a trailing `# reason`. An entry that excuses no construct
+on a non-test line of its file is stale — the code it covered is gone
+— and fails the gate too, so the allowlist shrinks with the code.
 
-Exit code 0 when clean, 1 when a non-allowlisted construct appears.
+Exit code 0 when clean, 1 when a non-allowlisted construct appears or
+an allowlist entry is stale.
 """
 
 import pathlib
@@ -36,12 +39,13 @@ def allowlist():
     return entries
 
 
-def allowed(rel, text, entries):
-    return any(rel == f and (not p or p in text) for f, p in entries)
+def matching(rel, text, entries):
+    return [i for i, (f, p) in enumerate(entries) if rel == f and (not p or p in text)]
 
 
 def main():
     entries = allowlist()
+    used = set()
     violations = []
     for path in sorted(ROOT.glob("crates/*/src/**/*.rs")):
         crate = path.relative_to(ROOT / "crates").parts[0]
@@ -55,8 +59,12 @@ def main():
             if in_tests:
                 continue
             stripped = line.split("//", 1)[0]
-            if CONSTRUCTS.search(stripped) and not allowed(rel, line, entries):
-                violations.append(f"{rel}:{lineno}: {line.strip()}")
+            if CONSTRUCTS.search(stripped):
+                hits = matching(rel, line, entries)
+                used.update(hits)
+                if not hits:
+                    violations.append(f"{rel}:{lineno}: {line.strip()}")
+    stale = [f"{f} {p}".strip() for i, (f, p) in enumerate(entries) if i not in used]
     if violations:
         print("new panicking construct(s) in library code:")
         for v in violations:
@@ -65,6 +73,12 @@ def main():
             "either return a typed PpdtError or add 'path pattern  # reason' "
             "to scripts/panic_allowlist.txt"
         )
+    if stale:
+        print("stale allowlist entr(ies) excusing no construct in their file:")
+        for s in stale:
+            print(f"  {s}")
+        print("delete them from scripts/panic_allowlist.txt")
+    if violations or stale:
         return 1
     print(f"panic gate clean ({len(entries)} allowlisted site(s))")
     return 0
