@@ -12,8 +12,7 @@
 //! Artifacts land in `--out-dir`: one `step_<k>_<rate>.csv` of
 //! per-request records per rate step, plus `summary.json` with
 //! per-step percentiles and the located overload knee. See
-//! BENCHMARKS.md "Open-loop methodology" and
-//! `scripts/bench_ingest.py` for what consumes them.
+//! BENCHMARKS.md "Open-loop methodology" for how to read them.
 //!
 //! Usage:
 //! `ppdt-bencher --config CFG.json --out-dir DIR (--ppdt PATH | --target ADDR...)

@@ -3,12 +3,12 @@
 //! Open-loop load generation and a declarative experiment harness for
 //! the `ppdt-serve` custodian daemon.
 //!
-//! Every number `serve_throughput` publishes is **closed-loop**: a
-//! fixed set of clients issues the next request only after the
-//! previous answer arrives, so the measured rate *is* the service
-//! rate and latency under overload is invisible — the clients simply
-//! slow down with the server (coordinated omission). This crate adds
-//! the measurement the ROADMAP's serving claims actually need:
+//! A closed-loop client issues the next request only after the
+//! previous answer arrives, so the measured rate *is* the service rate
+//! and latency under overload is invisible — the clients simply slow
+//! down with the server (coordinated omission). This crate measures at
+//! a controlled offered rate instead, which is what locating the
+//! overload knee needs:
 //!
 //! * [`openloop`] — fire requests at a **controlled offered rate**
 //!   from a schedule fixed before the run. A slow server does not
@@ -20,8 +20,7 @@
 //!   rejected, bounds are validated.
 //! * [`record`] — one CSV line per request (schedule time, queue
 //!   wait, latency, status, bytes, retry accounting), the raw
-//!   artifact `scripts/bench_ingest.py` turns into a trajectory
-//!   entry.
+//!   artifact every summary number can be recomputed from.
 //! * [`summary`] — per-rate-step percentiles (p50/p95/p99/p999 via
 //!   the shared [`ppdt_obs::LogHistogram`]) and the **knee** finder:
 //!   the first rate step where 503s begin or p99 degrades past 5× the
@@ -29,9 +28,6 @@
 //! * [`orchestrate`] — spawn the daemon(s) from a `ppdt` binary the
 //!   way the smoke scripts do, seed a key and a mined tree, run the
 //!   sweep, write CSVs plus a machine-readable `summary.json`.
-//! * [`closedloop`] — the closed-loop drive helpers that used to live
-//!   inline in `serve_throughput`; the bench binary now drives its
-//!   regimes through this library.
 //!
 //! The `ppdt-bencher` binary wires these together:
 //!
@@ -43,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod closedloop;
 pub mod config;
 pub mod openloop;
 pub mod orchestrate;
@@ -56,5 +51,6 @@ pub use summary::{find_knee, summarize, StepSummary};
 
 /// Schema version of the `summary.json` an orchestrated sweep writes
 /// (`openloop_schema_version` in the document); bump on breaking
-/// shape changes so `scripts/bench_compare.py` can gate on it.
+/// shape changes so readers such as `scripts/bencher_smoke.py` can
+/// tell the layouts apart.
 pub const OPENLOOP_SCHEMA_VERSION: u64 = 1;

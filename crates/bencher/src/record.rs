@@ -2,10 +2,9 @@
 //!
 //! The open-loop runner produces one record per scheduled request —
 //! the raw material every downstream number (percentiles, error
-//! curves, the knee) is computed from, and the artifact
-//! `scripts/bench_ingest.py` re-derives exact percentiles from as a
-//! cross-check on the histogram summaries. The CSV schema is part of
-//! the tooling contract:
+//! curves, the knee) is computed from. The CSV keeps them, so exact
+//! percentiles can be re-derived from a sweep directory after the
+//! fact. The CSV schema is part of the tooling contract:
 //!
 //! ```text
 //! seq,endpoint,sched_us,wait_us,latency_us,status,bytes,attempts,retry_wait_us

@@ -12,9 +12,8 @@
 //! [`find_knee`] then walks the summaries in rate order and names the
 //! **overload knee**: the first step where the daemon visibly stopped
 //! keeping up — any 503s, or p99 degraded past [`KNEE_P99_FACTOR`] ×
-//! the base (first) step's p99. That knee index is the headline of a
-//! committed sweep (`BENCH_PR9.json`) and the number future serving
-//! PRs are judged against.
+//! the base (first) step's p99. That knee is the headline of a sweep:
+//! the offered rate at which the daemon stops keeping up.
 
 use serde::{Deserialize, Serialize};
 

@@ -658,9 +658,9 @@ pub fn write_stream_head<W: Write>(
 /// Blocking loopback client: one request, one `(status, body)` answer
 /// over a fresh `Connection: close` socket.
 ///
-/// Used by the integration tests, `serve_throughput`'s fresh-connection
-/// mode, and anything else that wants to poke the daemon without an
-/// external tool. For connection reuse, see [`Client`].
+/// Used by the integration tests and anything else that wants to
+/// poke the daemon without an external tool. For connection reuse,
+/// see [`Client`].
 pub fn request(
     addr: SocketAddr,
     method: &str,

@@ -240,10 +240,14 @@ impl ServeMetrics {
         self.per_endpoint[e.index()].requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The stats row for one tenant, created on first sight.
+    /// The stats row for one tenant, created on first sight (the only
+    /// time the name is copied).
     fn tenant(&self, tenant: &Tenant) -> Arc<TenantStats> {
         let mut map = self.tenants.lock().expect("tenant metrics lock");
-        Arc::clone(map.entry(tenant.as_str().to_string()).or_default())
+        if let Some(stats) = map.get(tenant.as_str()) {
+            return Arc::clone(stats);
+        }
+        Arc::clone(map.entry(tenant.as_str().to_owned()).or_default())
     }
 
     fn tenant_errored(&self, tenant: &Tenant) {

@@ -15,11 +15,7 @@ asserts the whole reporting chain is sound:
   at 40 req/s even a single-core box must keep up, so missing the
   offered rate means the scheduler (not the server) is broken;
 * nothing was dropped: every scheduled tick produced a CSV record, no
-  transport errors, no non-2xx statuses at this trivial load;
-* the per-request CSV round-trips through ``bench_ingest.py`` (which
-  re-derives counts and exact percentiles and cross-checks the
-  histogram summary) and the result passes ``bench_compare.py``'s
-  identity compare.
+  transport errors, no non-2xx statuses at this trivial load.
 
 Exits non-zero with a diagnostic on any failure. Used by check.sh.
 """
@@ -115,22 +111,9 @@ def run(ppdt, bencher, tmp):
     if len(lines) - 1 != expected:
         fail(f"CSV holds {len(lines) - 1} records, want {expected}")
 
-    here = os.path.dirname(os.path.abspath(__file__))
-    bench_json = os.path.join(tmp, "smoke_bench.json")
-    for argv in ([sys.executable, os.path.join(here, "bench_ingest.py"),
-                  out_dir, "--out", bench_json],
-                 [sys.executable, os.path.join(here, "bench_compare.py"),
-                  bench_json, bench_json]):
-        r = subprocess.run(argv, capture_output=True, text=True)
-        sys.stdout.write(r.stdout)
-        if r.returncode != 0:
-            fail(f"{os.path.basename(argv[1])} rejected the smoke sweep:\n"
-                 f"{r.stdout}{r.stderr}")
-
     print(f"bencher smoke ok: {step['requests']} requests at "
           f"{achieved:.1f}/{offered:g} req/s, p50 {step['p50_us']} us, "
-          f"p99 {step['p99_us']} us, CSV+summary+ingest+compare all "
-          f"well-formed")
+          f"p99 {step['p99_us']} us, CSV and summary well-formed")
 
 
 def main(argv):
