@@ -104,7 +104,7 @@ pub enum Counter {
     VerifyRetries,
     /// Error-severity findings raised by the key/dataset audit.
     AuditViolations,
-    /// Tuple visits performed by the tree builders' split-search scans
+    /// Tuple visits performed by the tree builder's split-search scans
     /// (one per `(row, attribute)` pair examined — the miner's true
     /// workload, robust against timer resolution on fast hardware).
     SplitScanRows,
@@ -112,9 +112,8 @@ pub enum Counter {
     /// (a high-water mark maintained with [`record_max`], not a sum).
     MiningThreads,
     /// Buffers served from a reuse pool instead of a fresh allocation
-    /// (partition row vectors in the recursive builder, per-level scan
-    /// arenas in the presorted builder, a connection's request-body
-    /// buffer in the serve daemon).
+    /// (a per-level scan arena refilled in place by the tree builder, a
+    /// connection's request-body buffer in the serve daemon).
     PoolReuseHits,
     /// HTTP requests fully parsed by the `ppdt-serve` daemon
     /// (including inline `/healthz` and `/metrics` hits; malformed

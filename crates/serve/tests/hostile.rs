@@ -108,6 +108,19 @@ fn malformed_payloads_get_typed_4xx() {
     let (status, _) = request(srv.addr, "POST", "/v1/encode", "{\"x\": 3}").expect("request");
     assert_eq!(status, 400);
 
+    // Nesting past the parser's 512-level cap is refused as invalid
+    // JSON instead of recursing the worker's stack away.
+    let deep = "[".repeat(100_000);
+    let (status, body) = request(srv.addr, "POST", "/v1/encode", &deep).expect("request");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("invalid_json"), "{body}");
+
+    // Nesting at the cap parses on a worker's stack, then fails the
+    // request's shape.
+    let at_cap = format!("{}1{}", "{\"a\":".repeat(512), "}".repeat(512));
+    let (status, body) = request(srv.addr, "POST", "/v1/encode", &at_cap).expect("request");
+    assert_eq!(status, 400, "{body}");
+
     // Both csv and rows (ambiguous) is a usage error.
     let (status, body) = request(
         srv.addr,

@@ -12,8 +12,9 @@
 //!
 //! * [`split`] — impurity metrics and the run-boundary split search
 //!   (Lemma 2: optimal split points never fall inside a label run),
-//! * [`builder`] — the recursive tree builder with C4.5-style
-//!   stopping rules and threshold policies,
+//! * [`builder`] — the tree builder (presorted, breadth-first, with an
+//!   attribute-wise parallel level scan), C4.5-style stopping rules
+//!   and threshold policies,
 //! * [`tree`] — the tree structure, prediction, root-to-leaf path
 //!   extraction (the unit of *output privacy* in Definition 3),
 //! * [`decode`] — Theorem 2's construction: map each node's threshold
@@ -26,7 +27,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
-pub mod builder_fast;
 pub mod compare;
 pub mod decode;
 pub mod dot;
