@@ -99,8 +99,9 @@ pub enum Counter {
     /// Extra transform-draw attempts consumed by the bounded-retry
     /// loop in `encode_attribute` (0 when every first draw validates).
     DrawRetries,
-    /// Whole-dataset redraws consumed by the verified-encode loop
-    /// (0 when the first encode verifies).
+    /// Rounds of the verified encode that redrew the attributes its
+    /// Theorem 2 certificate flagged (0 when the first draw
+    /// certifies, as every key with no anti-monotone attribute does).
     VerifyRetries,
     /// Error-severity findings raised by the key/dataset audit.
     AuditViolations,

@@ -5,7 +5,7 @@
 //! decoded result). [`audit_key`] verifies a loaded [`TransformKey`]'s
 //! structural invariants — piece-interval disjointness, the
 //! global-(anti-)monotone invariant of Definition 8, permutation
-//! bijectivity, active-domain coverage and injectivity — and
+//! bijectivity, active-domain coverage, injectivity and order — and
 //! [`audit_key_against`] additionally cross-checks the key with a
 //! dataset (schema arity, per-cell encodability, non-finite cells).
 //!
@@ -335,8 +335,9 @@ fn check_transform(tr: &PiecewiseTransform, attr: Option<usize>, sink: &mut Sink
     }
 
     // Active-domain coverage: every recorded value must encode, into
-    // its piece's output interval; and the full map must be injective.
-    let mut images: Vec<(f64, f64)> = Vec::with_capacity(tr.orig_domain.len());
+    // its piece's output interval; and the full map must be injective
+    // and follow the global direction outside permutation pieces.
+    let mut images: Vec<(f64, f64, usize)> = Vec::with_capacity(tr.orig_domain.len());
     for &x in &tr.orig_domain {
         match tr
             .piece_for_input(x)
@@ -351,7 +352,7 @@ fn check_transform(tr: &PiecewiseTransform, attr: Option<usize>, sink: &mut Sink
                         kc(attr, Some(i), format!("domain value {x} encodes to {y}, outside the piece's output interval")),
                     );
                 } else {
-                    images.push((y, x));
+                    images.push((y, x, i));
                 }
             }
             Err(e) => {
@@ -363,17 +364,34 @@ fn check_transform(tr: &PiecewiseTransform, attr: Option<usize>, sink: &mut Sink
             }
         }
     }
+    // Theorem 2 needs the order as well as injectivity: the miner sees
+    // the attribute's class string only if the encoded values keep the
+    // original order (or reverse it) everywhere except inside a
+    // permutation piece, whose values all carry one label. Pieces are
+    // contiguous, so checking neighbours in output order suffices.
     images.sort_by(|a, b| a.0.total_cmp(&b.0));
     for w in images.windows(2) {
-        if w[0].0 == w[1].0 {
+        let ((y0, x0, i0), (y1, x1, i1)) = (w[0], w[1]);
+        let permuted = i0 == i1 && matches!(tr.pieces[i0].kind, PieceKind::Permutation { .. });
+        if y0 == y1 {
             sink.error(
                 "encode_collision",
                 kc(
                     attr,
                     None,
+                    format!("domain values {x0} and {x1} encode to the same output {y0}"),
+                ),
+            );
+        } else if !permuted && (x0 < x1) != tr.increasing {
+            sink.error(
+                "encode_misordered",
+                kc(
+                    attr,
+                    Some(i1),
                     format!(
-                        "domain values {} and {} encode to the same output {}",
-                        w[0].1, w[1].1, w[0].0
+                        "domain values {x0} and {x1} encode to {y0} < {y1}, against the \
+                         attribute's {} direction",
+                        if tr.increasing { "monotone" } else { "anti-monotone" }
                     ),
                 ),
             );
@@ -673,6 +691,45 @@ mod tests {
         let f = r.findings.iter().find(|f| f.code == "cell_uncovered").expect("finding");
         assert_eq!(f.row, Some(1));
         assert_eq!(f.attr, Some(0));
+    }
+
+    #[test]
+    fn misordered_images_fail_the_order_check() {
+        // Two linear pieces with ordered, disjoint output intervals;
+        // the first maps its top value 2 a hair above its interval,
+        // inside the escape slack but past the second piece's image
+        // of 3. Injective and interval-ordered, yet 2 encodes above
+        // 3: the class string the miner sees would change.
+        use crate::func::MonoFunc;
+        use crate::piecewise::{Piece, PiecewiseTransform};
+        let linear =
+            |s: f64, t: f64| PieceKind::Monotone { f: MonoFunc::Linear { a: 1.0, b: 0.0 }, s, t };
+        let s0 = 10.0 + 5e-9;
+        let tr = PiecewiseTransform {
+            pieces: vec![
+                Piece {
+                    input_lo: 1.0,
+                    input_hi: 2.0,
+                    output_lo: 10.0,
+                    output_hi: 20.0,
+                    kind: linear(s0, 10.0 - s0),
+                },
+                Piece {
+                    input_lo: 3.0,
+                    input_hi: 4.0,
+                    output_lo: 20.000000001,
+                    output_hi: 30.0,
+                    kind: linear(10.0 - 3e-9, 20.000000002 - 3.0 * (10.0 - 3e-9)),
+                },
+            ],
+            increasing: true,
+            orig_domain: vec![1.0, 2.0, 3.0, 4.0],
+        };
+        assert!(tr.encode(2.0).unwrap() > tr.encode(3.0).unwrap());
+        let r = audit_key(&TransformKey { transforms: vec![tr.clone()] });
+        let codes: Vec<&str> = r.findings.iter().map(|f| f.code.as_str()).collect();
+        assert_eq!(codes, ["encode_misordered"], "{}", r.to_json_pretty());
+        assert!(matches!(tr.validate(), Err(PpdtError::KeyCorrupt { .. })));
     }
 
     #[test]

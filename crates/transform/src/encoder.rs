@@ -24,9 +24,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use ppdt_data::{AttrId, Dataset, SortedColumn};
+use ppdt_data::{AttrId, ClassId, Dataset, SortedColumn};
 use ppdt_error::PpdtError;
-use ppdt_tree::{tree_diff, DecisionTree, ThresholdPolicy, TreeBuilder, TreeParams};
+use ppdt_tree::split::best_split_sorted;
+use ppdt_tree::{CandidatePolicy, DecisionTree, ThresholdPolicy, TreeBuilder, TreeParams};
 
 use crate::breakpoints::{plan_pieces, BreakpointStrategy, PiecePlan};
 use crate::family::FnFamily;
@@ -51,7 +52,8 @@ pub struct EncodeConfig {
     /// boundary, yielding an equally optimal but structurally
     /// different tree. The default is therefore 0.0;
     /// [`Encoder::verify`] lets a custodian use anti-monotone
-    /// directions and redraw until exactness holds.
+    /// directions: it certifies the key from one decode replay and
+    /// redraws monotone the attributes whose ties would show.
     pub anti_monotone_prob: f64,
     /// Fraction of the total output span reserved for the random gaps
     /// between piece output intervals; must be strictly positive (a
@@ -110,8 +112,8 @@ pub enum OnExhaust {
     Fallback,
 }
 
-/// Bounded-retry policy for the randomized draw loops (per-attribute
-/// transform draws, and [`Encoder::verify`]'s whole-dataset redraws).
+/// Bounded-retry policy for the randomized per-attribute transform
+/// draw, which redraws a transform that fails validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Maximum number of attempts before giving up (≥ 1).
@@ -318,6 +320,10 @@ impl TransformKey {
     /// but the key does not cover yields the underlying transform
     /// error with attribute context.
     ///
+    /// The one case the replay cannot repair is an exact score tie at
+    /// a split on an anti-monotone attribute (`DESIGN.md` §4 item 3);
+    /// [`TransformKey::decode_tree_certified`] finds those.
+    ///
     /// # Example
     /// ```
     /// use ppdt_transform::{EncodeConfig, Encoder};
@@ -343,6 +349,44 @@ impl TransformKey {
         policy: ThresholdPolicy,
         d: &Dataset,
     ) -> Result<DecisionTree, PpdtError> {
+        self.replay(mined, policy, d, None).map(|(tree, _)| tree)
+    }
+
+    /// [`TransformKey::decode_tree`] plus a certificate that the
+    /// decoded tree is the tree `TreeBuilder::new(*params).fit(d)`
+    /// mines directly, without mining it.
+    ///
+    /// `mined` must be the tree `TreeBuilder::new(*params)` fits on
+    /// `D'`, the data this (validated) key encodes `d` into, and
+    /// `params` must use [`CandidatePolicy::RunBoundaries`]. The
+    /// replay then scans, at every node split on a globally
+    /// anti-monotone attribute, that attribute's candidate boundaries
+    /// on the node's rows of `d` with the miner's own score and
+    /// `params`, and flags the node when its best score is reached at
+    /// more than one boundary: the miner keeps the first on `D` and,
+    /// with the order reversed, the last on `D'`. Splits on monotone
+    /// attributes are exact and cost nothing extra. A certificate with
+    /// no flag proves the decoded tree equal to the direct one, and a
+    /// flag with no flagged ancestor marks a node where they differ
+    /// (proof sketch in `DESIGN.md` §4).
+    pub fn decode_tree_certified(
+        &self,
+        mined: &DecisionTree,
+        params: &TreeParams,
+        d: &Dataset,
+    ) -> Result<(DecisionTree, Certificate), PpdtError> {
+        self.replay(mined, params.threshold_policy, d, Some(params))
+    }
+
+    /// The partition replay behind both decoders; the tie scan runs
+    /// only when `certify` carries the miner's parameters.
+    fn replay(
+        &self,
+        mined: &DecisionTree,
+        policy: ThresholdPolicy,
+        d: &Dataset,
+        certify: Option<&TreeParams>,
+    ) -> Result<(DecisionTree, Certificate), PpdtError> {
         use ppdt_tree::Node;
         let _t = ppdt_obs::phase("decode");
         self.check_tree(mined)?;
@@ -352,9 +396,20 @@ impl TransformKey {
             key: &'a TransformKey,
             d: &'a Dataset,
             midpoint: bool,
+            certify: Option<&'a TreeParams>,
+            cert: Certificate,
+            /// Preorder index of the next node of `mined` visited.
+            next_node: usize,
         }
 
-        fn rec(ctx: &Ctx<'_>, n: &Node, rows: Vec<u32>) -> Result<Node, PpdtError> {
+        fn rec(
+            ctx: &mut Ctx<'_>,
+            n: &Node,
+            rows: Vec<u32>,
+            below_flag: bool,
+        ) -> Result<Node, PpdtError> {
+            let node = ctx.next_node;
+            ctx.next_node += 1;
             match n {
                 Node::Leaf { .. } => Ok(n.clone()),
                 Node::Split { attr, threshold, class_counts, left, right } => {
@@ -388,8 +443,15 @@ impl TransformKey {
                             ),
                         });
                     }
-                    let left_d = rec(ctx, left, rows_le)?;
-                    let right_d = rec(ctx, right, rows_gt)?;
+                    let mut flagged = below_flag;
+                    if let Some(p) = ctx.certify.filter(|_| !tr.increasing) {
+                        if tied_boundaries(ctx.d, *attr, &rows, p) > 1 {
+                            ctx.cert.flags.push(TieFlag { node, attr: *attr, below_flag });
+                            flagged = true;
+                        }
+                    }
+                    let left_d = rec(ctx, left, rows_le, flagged)?;
+                    let right_d = rec(ctx, right, rows_gt, flagged)?;
                     let (t, l, r) = if le_max < gt_min {
                         // `≤` side is the original-space lower side.
                         let t = if ctx.midpoint { 0.5 * (le_max + gt_min) } else { le_max };
@@ -410,13 +472,13 @@ impl TransformKey {
             }
         }
 
-        let ctx = Ctx { key: self, d, midpoint };
+        let mut ctx =
+            Ctx { key: self, d, midpoint, certify, cert: Certificate::default(), next_node: 0 };
         let rows: Vec<u32> = (0..d.num_rows() as u32).collect();
-        Ok(DecisionTree {
-            root: rec(&ctx, &mined.root, rows)?,
-            num_classes: mined.num_classes,
-            criterion: mined.criterion,
-        })
+        let root = rec(&mut ctx, &mined.root, rows, false)?;
+        let tree =
+            DecisionTree { root, num_classes: mined.num_classes, criterion: mined.criterion };
+        Ok((tree, ctx.cert))
     }
 
     /// Data-free decode (the literal Theorem 2 construction): every
@@ -478,6 +540,63 @@ impl TransformKey {
     }
 }
 
+/// The Theorem 2 certificate of one decoded tree
+/// ([`TransformKey::decode_tree_certified`]): the nodes where an exact
+/// score tie on an anti-monotone attribute can make the decoded tree
+/// differ from the directly mined one. No flag proves them equal.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Certificate {
+    /// Every flagged node, in preorder of the mined tree.
+    pub flags: Vec<TieFlag>,
+}
+
+/// One node a [`Certificate`] flags.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TieFlag {
+    /// Preorder index of the node in the mined tree `T'` (0 = root,
+    /// left subtree before right).
+    pub node: usize,
+    /// The node's split attribute, globally anti-monotone in the key.
+    pub attr: AttrId,
+    /// Whether an ancestor is flagged too. Below a flag the replayed
+    /// rows are no longer the rows the direct miner has at the node,
+    /// so such a flag says nothing about the direct tree.
+    pub below_flag: bool,
+}
+
+impl Certificate {
+    /// The attributes flagged at nodes with no flagged ancestor,
+    /// ascending and without repeats. Each such node is one where the
+    /// decoded tree differs from the direct tree; redrawing these
+    /// attributes **monotone** clears them, while an anti-monotone
+    /// redraw would reverse the same tie again.
+    pub fn attrs_to_redraw(&self) -> Vec<AttrId> {
+        let mut attrs: Vec<AttrId> =
+            self.flags.iter().filter(|f| !f.below_flag).map(|f| f.attr).collect();
+        attrs.sort();
+        attrs.dedup();
+        attrs
+    }
+}
+
+/// How many of `attr`'s candidate boundaries on the node's `rows` of
+/// `d` reach the node's best score, scanned by the miner's own
+/// [`best_split_sorted`] under `params` (0 when none qualifies).
+fn tied_boundaries(d: &Dataset, attr: AttrId, rows: &[u32], params: &TreeParams) -> usize {
+    let col = d.column(attr);
+    let mut pairs: Vec<(f64, ClassId)> =
+        rows.iter().map(|&r| (col[r as usize], d.label(r as usize))).collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    best_split_sorted(
+        &pairs,
+        d.num_classes(),
+        params.criterion,
+        params.candidate_policy,
+        params.min_samples_leaf,
+    )
+    .map_or(0, |s| s.ties)
+}
+
 /// The result of an [`Encoder::encode`] run: the custodian's key, the
 /// transformed dataset `D'` handed to the miner, and (for verified
 /// runs) how many draw attempts were used.
@@ -487,9 +606,12 @@ pub struct Encoded {
     pub key: TransformKey,
     /// The transformed dataset `D'`.
     pub dataset: Dataset,
-    /// Number of whole-dataset draw attempts used. Always 1 for
-    /// unverified runs; for verified runs a fallback re-draw counts as
-    /// one extra attempt.
+    /// Number of draws of the key. Always 1 for unverified runs and
+    /// for verified runs whose first draw certifies (every key with no
+    /// anti-monotone attribute does). Each further draw of a verified
+    /// run redrew at least one flagged anti-monotone attribute
+    /// monotone, so there are at most `1 + a` draws when the first
+    /// draw made `a` attributes anti-monotone.
     pub attempts: usize,
 }
 
@@ -558,8 +680,7 @@ impl Encoder {
         Encoder { config, retry: RetryPolicy::default(), threads: 1, verify: None, metrics: true }
     }
 
-    /// Sets the draw [`RetryPolicy`] (per-attribute draws, and the
-    /// whole-dataset redraw loop when verification is on).
+    /// Sets the [`RetryPolicy`] of the per-attribute draws.
     pub fn retry(mut self, policy: RetryPolicy) -> Encoder {
         self.retry = policy;
         self
@@ -575,17 +696,27 @@ impl Encoder {
         self
     }
 
-    /// Turns end-to-end verification on (with [`TreeParams::default`])
-    /// or off: after each draw the mined-and-decoded tree is compared
-    /// against the directly mined tree, redrawing until exactness
-    /// holds (bounded by the retry policy). Required for exactness
-    /// under `anti_monotone_prob > 0`.
+    /// Turns Theorem 2 verification on (with [`TreeParams::default`])
+    /// or off. A verified encode returns a key whose mined tree
+    /// decodes to exactly the directly mined tree, proved rather than
+    /// checked by mining `D`: a key with no anti-monotone attribute is
+    /// exact as drawn and fits no tree. Otherwise the encoder fits
+    /// `D'` once, certifies the decode replay
+    /// ([`TransformKey::decode_tree_certified`]), redraws monotone the
+    /// attributes whose ties it flags, and repeats, so it fits at most
+    /// one tree per anti-monotone attribute and always ends certified.
+    /// Needed for exactness under `anti_monotone_prob > 0`; with
+    /// `anti_monotone_prob = 0` the result equals the unverified one.
     pub fn verify(mut self, yes: bool) -> Encoder {
         self.verify = yes.then(TreeParams::default);
         self
     }
 
-    /// Like [`Encoder::verify`] with explicit mining parameters.
+    /// Like [`Encoder::verify`] with explicit mining parameters. They
+    /// must use [`CandidatePolicy::RunBoundaries`] (the encode fails
+    /// with [`PpdtError::InvalidConfig`] otherwise): scoring
+    /// boundaries inside label runs would let a permutation piece
+    /// change the scores, which the certificate does not cover.
     pub fn verify_with(mut self, params: TreeParams) -> Encoder {
         self.verify = Some(params);
         self
@@ -693,15 +824,9 @@ impl Encoder {
         Ok((TransformKey { transforms }, d.with_columns(columns)))
     }
 
-    /// Custodian-side verified encoding: draws transformations and
-    /// checks the no-outcome-change guarantee end-to-end, redrawing
-    /// (bounded by the retry policy) if a metric tie under an
-    /// anti-monotone direction broke exactness. On exhaustion,
-    /// [`OnExhaust::Fallback`] re-encodes with all-monotone directions
-    /// (for which exactness is unconditional under the default
-    /// run-boundary candidate policy), while [`OnExhaust::Fail`]
-    /// returns [`PpdtError::DrawExhausted`] carrying the first tree
-    /// difference observed on every failed attempt.
+    /// Custodian-side verified encoding (see [`Encoder::verify`]).
+    /// The first draw is the unverified draw from the same generator;
+    /// redraws take their seeds from it afterwards.
     fn encode_verified<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -709,40 +834,31 @@ impl Encoder {
         params: TreeParams,
         threads: usize,
     ) -> Result<Encoded, PpdtError> {
-        self.retry.validate()?;
+        if params.candidate_policy != CandidatePolicy::RunBoundaries {
+            return Err(PpdtError::InvalidConfig {
+                param: "candidate_policy".into(),
+                detail: "verification certifies run-boundary mining only (Lemma 2)".into(),
+            });
+        }
+        let (mut key, mut dataset) = self.encode_once(rng, d, &self.config, threads)?;
+        let monotone = EncodeConfig { anti_monotone_prob: 0.0, ..self.config };
         let builder = TreeBuilder::new(params);
-        let t = builder.fit(d);
-        let mut reasons: Vec<String> = Vec::new();
-        for attempt in 1..=self.retry.max_attempts {
-            if attempt > 1 {
-                ppdt_obs::add(ppdt_obs::Counter::VerifyRetries, 1);
+        let mut attempts = 1;
+        while key.transforms.iter().any(|tr| !tr.increasing) {
+            let (_, cert) = key.decode_tree_certified(&builder.fit(&dataset), &params, d)?;
+            let redraw = cert.attrs_to_redraw();
+            if redraw.is_empty() {
+                break;
             }
-            let (key, d2) = self.encode_once(rng, d, &self.config, threads)?;
-            let t2 = builder.fit(&d2);
-            let s = key.decode_tree(&t2, params.threshold_policy, d)?;
-            match tree_diff(&s, &t, 0.0) {
-                None => return Ok(Encoded { key, dataset: d2, attempts: attempt }),
-                Some(diff) => {
-                    reasons.push(format!("attempt {attempt}: decoded tree differs: {diff}"))
-                }
-            }
-        }
-        if self.retry.on_exhaust == OnExhaust::Fallback {
-            // Monotone directions cannot flip tie-breaks; this always
-            // verifies.
             ppdt_obs::add(ppdt_obs::Counter::VerifyRetries, 1);
-            let fallback = EncodeConfig { anti_monotone_prob: 0.0, ..self.config };
-            let (key, d2) = self.encode_once(rng, d, &fallback, threads)?;
-            let t2 = builder.fit(&d2);
-            let s = key.decode_tree(&t2, params.threshold_policy, d)?;
-            match tree_diff(&s, &t, 0.0) {
-                None => {
-                    return Ok(Encoded { key, dataset: d2, attempts: self.retry.max_attempts + 1 })
-                }
-                Some(diff) => reasons.push(format!("fallback: decoded tree differs: {diff}")),
+            attempts += 1;
+            for a in redraw {
+                let (tr, col) = encode_attribute_seeded(rng.gen(), d, a, &monotone, self.retry)?;
+                key.transforms[a.index()] = tr;
+                dataset = dataset.with_column(a, col);
             }
         }
-        Err(PpdtError::DrawExhausted { attr: None, attempts: self.retry.max_attempts, reasons })
+        Ok(Encoded { key, dataset, attempts })
     }
 }
 
@@ -1371,7 +1487,7 @@ mod tests {
             .verify(true)
             .encode(&mut rng, &d)
             .unwrap();
-        assert!((1..=9).contains(&e.attempts));
+        assert!((1..=1 + d.num_attrs()).contains(&e.attempts), "{}", e.attempts);
         let builder = TreeBuilder::default();
         let s =
             e.key.decode_tree(&builder.fit(&e.dataset), ThresholdPolicy::DataValue, &d).unwrap();

@@ -24,7 +24,8 @@
 //!   enforcing the global-(anti-)monotone invariant (Definition 8),
 //!   exact encode/decode,
 //! * [`encoder`] — dataset-level encoding via the [`Encoder`] builder
-//!   and the serializable custodian [`TransformKey`],
+//!   and the serializable custodian [`TransformKey`], whose decode
+//!   replay certifies Theorem 2 ([`Certificate`]),
 //! * [`compiled`] — [`CompiledKey`], an audited [`TransformKey`]
 //!   lowered into flat cache-friendly arrays for allocation-free,
 //!   dispatch-free per-value encode/decode (bit-identical to the
@@ -64,7 +65,8 @@ pub use audit::{audit_key, audit_key_against, AuditFinding, AuditReport, Severit
 pub use breakpoints::{plan_pieces, BreakpointStrategy, PiecePlan};
 pub use compiled::{CompiledKey, CompiledTransform, RekeyPlan};
 pub use encoder::{
-    EncodeConfig, Encoded, Encoder, LayoutKind, OnExhaust, RetryPolicy, TransformKey,
+    Certificate, EncodeConfig, Encoded, Encoder, LayoutKind, OnExhaust, RetryPolicy, TieFlag,
+    TransformKey,
 };
 pub use family::FnFamily;
 pub use func::MonoFunc;

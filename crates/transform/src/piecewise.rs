@@ -301,7 +301,8 @@ impl PiecewiseTransform {
     /// global direction; permutation tables are bijections within
     /// their interval; every original domain value encodes into its
     /// piece's output interval, and the full map over the active
-    /// domain is injective.
+    /// domain is injective and, outside permutation pieces, ordered by
+    /// the global direction (the order Theorem 2's certificate needs).
     ///
     /// This is the boundary check: validate once when a key is drawn
     /// or loaded, then trust the transform on the hot paths. The

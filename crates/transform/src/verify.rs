@@ -186,8 +186,9 @@ mod tests {
     fn anti_monotone_fuzz_with_verified_encode() {
         // Anti-monotone directions reverse the candidate-boundary
         // order, so exact metric ties can break differently; the
-        // verified encoder redraws until exactness holds (see the
-        // EncodeConfig docs). Heavy-tie random data is the worst case.
+        // verified encoder certifies the decode and redraws the tied
+        // attributes monotone (see the EncodeConfig docs). Heavy-tie
+        // random data is the worst case.
         let mut rng = StdRng::seed_from_u64(20);
         let cfg =
             RandomDatasetConfig { num_rows: 120, num_attrs: 3, num_classes: 3, value_range: 20 };
@@ -205,12 +206,116 @@ mod tests {
                 .encode(&mut rng, &d)
                 .unwrap();
             let (key, d2, attempts) = (encoded.key, encoded.dataset, encoded.attempts);
-            assert!(attempts >= 1);
+            assert!((1..=1 + d.num_attrs()).contains(&attempts), "trial {trial}: {attempts}");
             let builder = TreeBuilder::new(params);
             let t = builder.fit(&d);
             let t2 = builder.fit(&d2);
             let s = key.decode_tree(&t2, params.threshold_policy, &d).unwrap();
             assert!(ppdt_tree::trees_equal(&s, &t), "trial {trial}: {:?}", tree_diff(&s, &t, 0.0));
+        }
+    }
+
+    /// Deviation 3 at its smallest: one attribute, values 1–4
+    /// labelled A B B A. The run boundaries after 1 and after 3 score
+    /// the same bits under Gini and entropy, so the direct miner
+    /// splits at 1 while an anti-monotone `D'` (seen as A B B A
+    /// reversed) makes the decode split at 3.
+    fn abba() -> Dataset {
+        let mut b = DatasetBuilder::new(Schema::new(["a"], ["A", "B"]));
+        for (v, c) in [(1.0, 0u16), (2.0, 1), (3.0, 1), (4.0, 0)] {
+            b.push_row(&[v], ClassId(c));
+        }
+        b.build()
+    }
+
+    fn root_threshold(t: &ppdt_tree::DecisionTree) -> f64 {
+        match t.root {
+            ppdt_tree::Node::Split { threshold, .. } => threshold,
+            ppdt_tree::Node::Leaf { .. } => panic!("root is a leaf"),
+        }
+    }
+
+    #[test]
+    fn anti_monotone_tie_is_flagged_and_verify_redraws_it_monotone() {
+        use crate::encoder::TieFlag;
+        let d = abba();
+        let anti = EncodeConfig { anti_monotone_prob: 1.0, ..Default::default() };
+        for criterion in [SplitCriterion::Gini, SplitCriterion::Entropy] {
+            let params = TreeParams::with_criterion(criterion);
+            let builder = TreeBuilder::new(params);
+            let t = builder.fit(&d);
+            assert_eq!(root_threshold(&t), 1.0, "{criterion:?}");
+
+            // Every anti-monotone draw reverses the same tie: the
+            // certificate flags the root each time, and the decode
+            // differs from the direct tree exactly there.
+            for seed in 0..6 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (key, d2) = Encoder::new(anti).encode(&mut rng, &d).unwrap().into_parts();
+                assert!(!key.transform(AttrId(0)).increasing);
+                let (s, cert) = key.decode_tree_certified(&builder.fit(&d2), &params, &d).unwrap();
+                let root = TieFlag { node: 0, attr: AttrId(0), below_flag: false };
+                assert_eq!(cert.flags, vec![root], "{criterion:?} seed {seed}");
+                assert_eq!(cert.attrs_to_redraw(), vec![AttrId(0)]);
+                assert_eq!(root_threshold(&s), 3.0, "{criterion:?} seed {seed}");
+            }
+
+            // A monotone key certifies with no flag, and is exact.
+            let mut rng = StdRng::seed_from_u64(7);
+            let (key, d2) =
+                Encoder::new(EncodeConfig::default()).encode(&mut rng, &d).unwrap().into_parts();
+            let (s, cert) = key.decode_tree_certified(&builder.fit(&d2), &params, &d).unwrap();
+            assert!(cert.flags.is_empty(), "{:?}", cert.flags);
+            assert!(ppdt_tree::trees_equal(&s, &t));
+
+            // `verify` redraws the flagged attribute monotone once and
+            // returns a certified key; no anti-monotone redraw could
+            // clear this tie.
+            let e = Encoder::new(anti)
+                .retry(RetryPolicy::failing(8))
+                .verify_with(params)
+                .encode(&mut StdRng::seed_from_u64(8), &d)
+                .unwrap();
+            assert!(e.key.transform(AttrId(0)).increasing);
+            assert_eq!(e.attempts, 2);
+            let s = e.key.decode_tree(&builder.fit(&e.dataset), params.threshold_policy, &d);
+            assert!(ppdt_tree::trees_equal(&s.unwrap(), &t));
+        }
+    }
+
+    #[test]
+    fn verify_rejects_all_boundary_mining() {
+        let params = TreeParams {
+            candidate_policy: ppdt_tree::CandidatePolicy::AllBoundaries,
+            ..Default::default()
+        };
+        let err = Encoder::new(EncodeConfig::default())
+            .verify_with(params)
+            .encode(&mut StdRng::seed_from_u64(9), &figure1())
+            .unwrap_err();
+        assert!(matches!(err, PpdtError::InvalidConfig { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn verified_equals_unverified_for_monotone_configs() {
+        // With `anti_monotone_prob = 0` verification fits no tree and
+        // changes nothing: same key, same `D'`, one attempt.
+        use ppdt_data::gen::{covertype_like, CovertypeConfig};
+        let mut rng = StdRng::seed_from_u64(10);
+        let census = census_like(&mut rng, 2_000);
+        let cover =
+            covertype_like(&mut rng, &CovertypeConfig { num_rows: 1_000, ..Default::default() });
+        for (name, d) in [("figure1", figure1()), ("census", census), ("covertype", cover)] {
+            for seed in 0..3 {
+                let plain = Encoder::new(EncodeConfig::default())
+                    .encode(&mut StdRng::seed_from_u64(seed), &d)
+                    .unwrap();
+                let verified = Encoder::new(EncodeConfig::default())
+                    .verify(true)
+                    .encode(&mut StdRng::seed_from_u64(seed), &d)
+                    .unwrap();
+                assert_eq!(plain, verified, "{name} seed {seed}");
+            }
         }
     }
 

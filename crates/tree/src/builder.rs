@@ -7,7 +7,8 @@
 //! current node, and every node on the frontier keeps an incremental
 //! split-search state that scores the same candidate boundaries as
 //! [`best_split_sorted`] would on the node's own sorted tuples, with
-//! the same strict-`<` first-wins tie-breaking. The tree is therefore,
+//! the same score function ([`SplitCriterion::boundary_score`]) and the
+//! same strict-`<` first-wins tie-breaking. The tree is therefore,
 //! bit for bit, the textbook recursive construction the paper's
 //! Section 4 reasons about; `tests/parallel_serial.rs` keeps that
 //! construction as a serial reference and checks [`TreeBuilder::fit`]
@@ -536,9 +537,7 @@ fn score_boundary(
     }
     right_buf.clear();
     right_buf.extend(node_counts.iter().zip(pending_left).map(|(&t, &l)| t - l));
-    let score = (f64::from(left_n) * p.criterion.impurity(pending_left, left_n)
-        + f64::from(right_n) * p.criterion.impurity(right_buf, right_n))
-        / f64::from(total);
+    let score = p.criterion.boundary_score(pending_left, left_n, right_buf, right_n);
     if best.as_ref().is_none_or(|b| score < b.score) {
         *best =
             Some(BestSplit { attr, score, left_value: pm.left_value, right_value: pm.right_value });

@@ -51,6 +51,23 @@ impl SplitCriterion {
             }
         }
     }
+
+    /// Children's weighted impurity of a boundary that sends the
+    /// histogram `left` (`left_n` tuples) to one side and `right`
+    /// (`right_n` tuples) to the other: `(nL·g(L) + nR·g(R)) / n`.
+    /// The miner scores every candidate boundary with it (lower is
+    /// better), and so does the custodian's Theorem 2 certificate.
+    ///
+    /// Swapping the sides gives the same bits: each side's term is
+    /// computed from that side alone, and IEEE addition is
+    /// commutative. An anti-monotone transform presents every boundary
+    /// with its sides swapped, so this symmetry is what makes the
+    /// miner's scores on `D'` bit-equal to its scores on `D`.
+    pub fn boundary_score(self, left: &[u32], left_n: u32, right: &[u32], right_n: u32) -> f64 {
+        (f64::from(left_n) * self.impurity(left, left_n)
+            + f64::from(right_n) * self.impurity(right, right_n))
+            / f64::from(left_n + right_n)
+    }
 }
 
 /// Which group boundaries the split search evaluates.
@@ -77,10 +94,16 @@ pub struct AttrSplit {
     /// (number of distinct values on the left). Together with the run
     /// structure this is the paper's "split point location".
     pub boundary_index: usize,
+    /// Candidate boundaries whose score equals `score` bit for bit
+    /// (at least 1). Above 1 the minimum is an exact tie, which the
+    /// strict-`<` first-wins rule breaks toward the earliest boundary:
+    /// on a reversed order it would pick the last one.
+    pub ties: usize,
 }
 
 /// Finds the best split of `pairs` (the node's `(value, label)` tuples,
-/// **sorted by value**) under `criterion`.
+/// **sorted by value**) under `criterion`, and counts the candidate
+/// boundaries that tie with it ([`AttrSplit::ties`]).
 ///
 /// Returns `None` when no boundary satisfies `min_leaf` on both sides
 /// or all values are equal.
@@ -157,9 +180,7 @@ pub fn best_split_sorted(
             continue;
         }
 
-        let score = (f64::from(left_n) * criterion.impurity(&left, left_n)
-            + f64::from(right_n) * criterion.impurity(&right, right_n))
-            / f64::from(n);
+        let score = criterion.boundary_score(&left, left_n, &right, right_n);
         // Strict improvement keeps the earliest boundary on ties, so
         // the winner is deterministic and count-only — identical on
         // the original and transformed data.
@@ -170,7 +191,10 @@ pub fn best_split_sorted(
                 right_value: next_v,
                 left_count: left_n,
                 boundary_index,
+                ties: 1,
             });
+        } else if let Some(b) = best.as_mut().filter(|b| score == b.score) {
+            b.ties += 1;
         }
     }
     best
@@ -179,6 +203,7 @@ pub fn best_split_sorted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn c(i: u16) -> ClassId {
         ClassId(i)
@@ -212,6 +237,7 @@ mod tests {
         assert_eq!(s.score, 0.0);
         assert_eq!(s.left_count, 2);
         assert_eq!(s.boundary_index, 2);
+        assert_eq!(s.ties, 1);
     }
 
     #[test]
@@ -280,6 +306,15 @@ mod tests {
             best_split_sorted(&pairs, 2, SplitCriterion::Gini, CandidatePolicy::RunBoundaries, 1)
                 .unwrap();
         assert_eq!(s.left_value, 1.0);
+        assert_eq!(s.ties, 2);
+        // A B B A: the run boundaries after 1 and after 3 mirror each
+        // other and tie bit for bit under both criteria; the B|B
+        // boundary inside the run is no candidate.
+        let abba = [(1.0, c(0)), (2.0, c(1)), (3.0, c(1)), (4.0, c(0))];
+        for crit in [SplitCriterion::Gini, SplitCriterion::Entropy] {
+            let s = best_split_sorted(&abba, 2, crit, CandidatePolicy::RunBoundaries, 1).unwrap();
+            assert_eq!((s.left_value, s.ties), (1.0, 2), "{crit:?}");
+        }
     }
 
     #[test]
@@ -294,6 +329,26 @@ mod tests {
             1
         )
         .is_none());
+    }
+
+    proptest! {
+        /// The certificate's premise: a boundary's score has the same
+        /// bits with its two sides swapped, for any histograms.
+        #[test]
+        fn boundary_score_is_bit_symmetric(
+            left in proptest::collection::vec(0u32..50, 2..6),
+            right in proptest::collection::vec(0u32..50, 2..6),
+            entropy in any::<bool>(),
+        ) {
+            let crit = if entropy { SplitCriterion::Entropy } else { SplitCriterion::Gini };
+            let k = left.len().min(right.len());
+            let (left, right) = (&left[..k], &right[..k]);
+            let (ln, rn) = (left.iter().sum::<u32>(), right.iter().sum::<u32>());
+            prop_assume!(ln + rn > 0);
+            let a = crit.boundary_score(left, ln, right, rn);
+            let b = crit.boundary_score(right, rn, left, ln);
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ fn main() {
 
     // --- 1. Encode, with end-to-end verification. -------------------
     // Anti-monotone directions are allowed here; the verified encoder
-    // redraws if a metric tie would break exact decodability.
+    // certifies the decode and redraws monotone any attribute whose
+    // exact metric tie would break exact decodability.
     let config = EncodeConfig {
         strategy: BreakpointStrategy::ChooseMaxMP { w: 20, min_piece_len: 5 },
         family: FnFamily::Mixed,

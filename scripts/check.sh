@@ -2,9 +2,11 @@
 # Pre-merge gate: formatting and lints (the workspace and perfbench),
 # docs, tests, fault injection, the panic-free-library and protocol
 # gates, live smokes of the daemon, a cluster and the open-loop
-# bencher, and a short correctness run of every workload of the
-# repository benchmark (BENCHMARK.json, perfbench/). A clean exit is
-# the merge bar (referenced from README "Tests and benchmarks").
+# bencher, a run of the custodian example (whose asserts check
+# Theorem 2 after an anti-monotone verified encode), and a short
+# correctness run of every workload of the repository benchmark
+# (BENCHMARK.json, perfbench/). A clean exit is the merge bar
+# (referenced from README "Tests and benchmarks").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # perfbench is a workspace of its own; building it into the
@@ -39,6 +41,9 @@ python3 scripts/protocol_gate.py
 echo "== serve daemon smoke (healthz, encode/classify round-trip, SIGTERM)"
 cargo build --release -q -p ppdt-cli
 python3 scripts/serve_smoke.py target/release/ppdt
+
+echo "== custodian example (anti-monotone verified encode, key through disk, Theorem 2 asserted)"
+cargo run --release -q --example custodian_workflow
 
 echo "== repository benchmark (perfbench self-tests; every workload untraced and traced, checked not timed)"
 cargo test --manifest-path perfbench/Cargo.toml -q

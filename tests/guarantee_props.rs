@@ -140,3 +140,67 @@ proptest! {
         prop_assert_eq!(sorted.len(), encoded.len(), "injectivity");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Deviation 3, certified: on tie-heavy tables (few distinct
+    /// values, every attribute anti-monotone) the decode replay's
+    /// certificate flags exactly the decodes that differ from the
+    /// directly mined tree, and the verified encoder always ends at a
+    /// key whose decode is exact.
+    #[test]
+    fn certificate_flags_every_anti_monotone_tie(
+        seed in 0u64..10_000,
+        rows in 8usize..120,
+        attrs in 1usize..4,
+        classes in 2usize..4,
+        range in 2u64..11,
+        strat_tag in 0u8..3,
+        w in 1usize..8,
+        gini in any::<bool>(),
+        midpoint in any::<bool>(),
+        min_leaf in 1u32..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = RandomDatasetConfig {
+            num_rows: rows,
+            num_attrs: attrs,
+            num_classes: classes,
+            value_range: range,
+        };
+        let d = random_dataset(&mut rng, &cfg);
+        let config = EncodeConfig {
+            strategy: strategy_from(strat_tag, w, 1),
+            anti_monotone_prob: 1.0,
+            ..Default::default()
+        };
+        let params = TreeParams {
+            criterion: if gini { SplitCriterion::Gini } else { SplitCriterion::Entropy },
+            threshold_policy: if midpoint { ThresholdPolicy::Midpoint } else { ThresholdPolicy::DataValue },
+            min_samples_leaf: min_leaf,
+            ..Default::default()
+        };
+        let builder = TreeBuilder::new(params);
+        let t = builder.fit(&d);
+
+        let (key, d2) = Encoder::new(config).encode(&mut rng, &d).expect("encode").into_parts();
+        let (s, cert) =
+            key.decode_tree_certified(&builder.fit(&d2), &params, &d).expect("decode tree");
+        let diff = ppdt::tree::tree_diff(&s, &t, 0.0);
+        if cert.flags.is_empty() {
+            prop_assert!(diff.is_none(), "unflagged decode differs: {:?}", diff);
+        }
+        if diff.is_some() {
+            prop_assert!(!cert.flags.is_empty(), "differing decode carries no flag: {:?}", diff);
+        }
+        // A flag with no flagged ancestor is never a false alarm.
+        prop_assert_eq!(cert.attrs_to_redraw().is_empty(), diff.is_none());
+
+        let e = Encoder::new(config).verify_with(params).encode(&mut rng, &d).expect("verify");
+        prop_assert!(e.attempts <= 1 + attrs);
+        let s = e.key.decode_tree(&builder.fit(&e.dataset), params.threshold_policy, &d)
+            .expect("decode tree");
+        prop_assert!(trees_equal(&s, &t), "diff: {:?}", ppdt::tree::tree_diff(&s, &t, 0.0));
+    }
+}
