@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 
 use ppdt_serve::client::ClientConfig;
 use ppdt_serve::{Client, RetryingClient};
-use ppdt_transform::RetryPolicy;
 
 use crate::config::{BenchEndpoint, Connection, MixEntry};
 use crate::record::RequestRecord;
@@ -145,10 +144,7 @@ pub fn run_step(plan: &StepPlan<'_>) -> Vec<RequestRecord> {
 fn fresh_client(target: SocketAddr, max_attempts: usize) -> RetryingClient {
     RetryingClient::with_config(
         target,
-        ClientConfig {
-            retry: RetryPolicy::failing(max_attempts.max(1)),
-            ..ClientConfig::default()
-        },
+        ClientConfig { attempts: max_attempts, ..ClientConfig::default() },
     )
 }
 

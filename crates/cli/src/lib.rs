@@ -5,7 +5,7 @@
 //! ```text
 //! ppdt stats  <data.csv>                      attribute statistics + release verdicts
 //! ppdt encode <data.csv> --out D.csv --key K.json [--seed N]
-//!             [--strategy maxmp|bp|none] [--w N] [--verify] [--parallel]
+//!             [--strategy maxmp|bp|none] [--w N] [--parallel]
 //! ppdt decode-dataset <Dprime.csv> --key K.json --out orig.csv
 //! ppdt mine   <data.csv> --out tree.json [--criterion gini|entropy]
 //!             [--min-leaf N]                  (stand-in for the miner)
@@ -16,9 +16,11 @@
 //!             [--trials N] [--seed N]
 //! ppdt serve  --keystore-dir <dir> [--addr 127.0.0.1:7070]
 //!             [--workers N] [--queue N] [--deadline-ms N]
-//!             [--max-body-mb N] [--plan-cache N] [--tree-cache N]
-//!             [--debug-endpoints]
+//!             [--max-body-mb N] [--debug-endpoints] ...
 //! ```
+//!
+//! `ppdt help` prints every subcommand with exactly the flags it
+//! accepts; any other flag is a usage error.
 //!
 //! The command surface mirrors the custodian workflow of the paper's
 //! introduction: encode, ship, receive the mined tree, decode with the
@@ -62,7 +64,7 @@ use ppdt_data::{csv, AttrId, AttrStats, Dataset};
 use ppdt_error::PpdtError;
 use ppdt_risk::{domain_risk_trial, try_run_trials, DomainScenario};
 use ppdt_transform::{
-    BreakpointStrategy, CompiledKey, EncodeConfig, Encoder, RetryPolicy, Severity, TransformKey,
+    BreakpointStrategy, CompiledKey, EncodeConfig, Encoder, Severity, TransformKey,
 };
 use ppdt_tree::{DecisionTree, SplitCriterion, ThresholdPolicy, TreeBuilder, TreeParams};
 
@@ -114,74 +116,230 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-usage: ppdt <subcommand> [args]
-  stats <data.csv>
-  encode <data.csv> --out <Dprime.csv> --key <key.json> [--seed N]
-         [--strategy maxmp|bp|none] [--w N] [--verify] [--parallel]
-         [--attempts N] [--on-exhaust fail|fallback]
-  decode-dataset <Dprime.csv> --key <key.json> --out <orig.csv>
-  mine <data.csv> --out <tree.json> [--criterion gini|entropy] [--min-leaf N]
-       [--mining-threads N]
-  decode-tree <tree.json> --key <key.json> --data <orig.csv> --out <decoded.json> [--render]
-  report <tree.json> --data <data.csv>
-  audit <data.csv> [--key <key.json>] [--json <report.json>] [--trials N] [--seed N]
-  serve --keystore-dir <dir> [--addr 127.0.0.1:7070] [--workers N] [--queue N]
-        [--deadline-ms N] [--max-body-mb N] [--plan-cache N] [--tree-cache N]
-        [--keep-alive N] [--idle-timeout SECS] [--max-connections N]
-        [--debug-endpoints] [--peer HOST:PORT]... [--sync-interval-ms N]
-        [--tenant-max-keys N] [--tenant-max-inflight N]
-any subcommand accepts --metrics (phase timings + counters on stderr)
-and --lenient (skip malformed CSV rows instead of failing)
-exit codes: 1 internal, 2 usage, 3 io, 4 corrupt key, 5 incompatible tree, 6 corrupt data
-";
+/// One flag of a subcommand, as [`usage`] prints it.
+#[derive(Clone, Copy, Debug)]
+enum Flag {
+    /// `--name VALUE`, without which the subcommand fails.
+    Required(&'static str, &'static str),
+    /// `[--name VALUE]`.
+    Optional(&'static str, &'static str),
+    /// `[--name VALUE]...`, which may be given more than once.
+    Repeated(&'static str, &'static str),
+    /// `[--name]`, which takes no value.
+    Switch(&'static str),
+}
 
-/// Tiny flag parser: positional arguments plus `--flag [value]` pairs.
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Required(name, _)
+            | Flag::Optional(name, _)
+            | Flag::Repeated(name, _)
+            | Flag::Switch(name) => name,
+        }
+    }
+}
+
+impl fmt::Display for Flag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Flag::Required(name, value) => write!(f, "--{name} {value}"),
+            Flag::Optional(name, value) => write!(f, "[--{name} {value}]"),
+            Flag::Repeated(name, value) => write!(f, "[--{name} {value}]..."),
+            Flag::Switch(name) => write!(f, "[--{name}]"),
+        }
+    }
+}
+
+/// Flags every subcommand accepts besides its own.
+const GLOBAL_FLAGS: [Flag; 2] = [Flag::Switch("metrics"), Flag::Switch("lenient")];
+
+/// A subcommand: its positional arguments and flags, as [`usage`]
+/// prints them, and the function that runs it.
+struct Command {
+    name: &'static str,
+    args: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+/// The strategy flags `encode` and the risk audit read through
+/// `encode_config`.
+const STRATEGY: Flag = Flag::Optional("strategy", "maxmp|bp|none");
+const WIDTH: Flag = Flag::Optional("w", "N");
+
+/// Every subcommand with exactly the flags it accepts.
+const COMMANDS: [Command; 8] = {
+    use Flag::{Optional as Opt, Repeated, Required as Req, Switch};
+    [
+        Command {
+            name: "stats",
+            args: "<data.csv>",
+            flags: &[Opt("granularity", "X")],
+            run: cmd_stats,
+        },
+        Command {
+            name: "encode",
+            args: "<data.csv>",
+            flags: &[
+                Req("out", "<Dprime.csv>"),
+                Req("key", "<key.json>"),
+                Opt("seed", "N"),
+                STRATEGY,
+                WIDTH,
+                Switch("parallel"),
+            ],
+            run: cmd_encode,
+        },
+        Command {
+            name: "decode-dataset",
+            args: "<Dprime.csv>",
+            flags: &[Req("key", "<key.json>"), Req("out", "<orig.csv>")],
+            run: cmd_decode_dataset,
+        },
+        Command {
+            name: "mine",
+            args: "<data.csv>",
+            flags: &[
+                Req("out", "<tree.json>"),
+                Opt("criterion", "gini|entropy"),
+                Opt("min-leaf", "N"),
+                Opt("mining-threads", "N"),
+            ],
+            run: cmd_mine,
+        },
+        Command {
+            name: "decode-tree",
+            args: "<tree.json>",
+            flags: &[
+                Req("key", "<key.json>"),
+                Req("data", "<orig.csv>"),
+                Req("out", "<decoded.json>"),
+                Switch("render"),
+            ],
+            run: cmd_decode_tree,
+        },
+        Command {
+            name: "report",
+            args: "<tree.json>",
+            flags: &[Req("data", "<data.csv>")],
+            run: cmd_report,
+        },
+        Command {
+            name: "audit",
+            args: "<data.csv>",
+            flags: &[
+                Opt("key", "<key.json>"),
+                Opt("json", "<report.json>"),
+                Opt("trials", "N"),
+                Opt("seed", "N"),
+                STRATEGY,
+                WIDTH,
+            ],
+            run: cmd_audit,
+        },
+        Command {
+            name: "serve",
+            args: "",
+            flags: &[
+                Req("keystore-dir", "<dir>"),
+                Opt("addr", "127.0.0.1:7070"),
+                Opt("workers", "N"),
+                Opt("queue", "N"),
+                Opt("deadline-ms", "N"),
+                Opt("max-body-mb", "N"),
+                Opt("keep-alive", "N"),
+                Opt("idle-timeout", "SECS"),
+                Opt("max-connections", "N"),
+                Switch("debug-endpoints"),
+                Repeated("peer", "HOST:PORT"),
+                Opt("sync-interval-ms", "N"),
+                Opt("tenant-max-keys", "N"),
+                Opt("tenant-max-inflight", "N"),
+            ],
+            run: cmd_serve,
+        },
+    ]
+};
+
+/// Usage text: [`COMMANDS`], wrapped at 80 columns.
+fn usage() -> String {
+    let mut out = String::from("usage: ppdt <subcommand> [args]\n");
+    for c in &COMMANDS {
+        let mut line = format!("  {}", c.name);
+        let words = c.args.split_whitespace().map(str::to_owned);
+        for word in words.chain(c.flags.iter().map(Flag::to_string)) {
+            if line.len() + 1 + word.len() > 80 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(c.name.len() + 2);
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str(
+        "any subcommand accepts --metrics (phase timings + counters on stderr)\n\
+         and --lenient (skip malformed CSV rows instead of failing)\n\
+         exit codes: 1 internal, 2 usage, 3 io, 4 corrupt key, 5 incompatible tree, 6 corrupt data\n",
+    );
+    out
+}
+
+/// A parsed command line: positional arguments plus the flags given,
+/// each with its value (`None` for a switch).
 struct Args {
     positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Args {
+    /// Parses `args` against the flags of `command` and
+    /// [`GLOBAL_FLAGS`]. A flag not among them, or a flag that takes
+    /// a value given without one, is a usage error; a switch never
+    /// takes the next argument, so positionals may follow it.
+    fn parse(args: &[String], command: &Command) -> Result<Args, CliError> {
         let mut positional = Vec::new();
-        let mut flags: Vec<(String, Option<String>)> = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut flags = Vec::new();
+        let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => Some(it.next().expect("peeked").clone()),
-                    _ => None,
-                };
-                flags.push((name.to_string(), value));
-            } else {
+            let Some(name) = a.strip_prefix("--") else {
                 positional.push(a.clone());
-            }
+                continue;
+            };
+            let Some(&flag) = command.flags.iter().chain(&GLOBAL_FLAGS).find(|f| f.name() == name)
+            else {
+                return Err(CliError::usage(format!(
+                    "{} has no flag --{name}\n{}",
+                    command.name,
+                    usage()
+                )));
+            };
+            let value = match flag {
+                Flag::Switch(_) => None,
+                _ => match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(CliError::usage(format!("--{name} needs a value"))),
+                },
+            };
+            flags.push((flag.name(), value));
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
-        self.flags.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
+        self.flags.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.as_deref())
     }
 
-    /// Every occurrence of a repeatable flag, in order. A bare
-    /// occurrence (no value) is an error — the caller gets `Err`
-    /// rather than silently losing it, since `flag()` only ever sees
-    /// the first occurrence.
-    fn flag_all(&self, name: &str) -> Result<Vec<&str>, CliError> {
-        self.flags
-            .iter()
-            .filter(|(n, _)| n == name)
-            .map(|(_, v)| {
-                v.as_deref().ok_or_else(|| CliError::usage(format!("--{name} needs a value")))
-            })
-            .collect()
+    /// Every value of a repeatable flag, in order.
+    fn flag_all(&self, name: &str) -> Vec<&str> {
+        self.flags.iter().filter(|(n, _)| *n == name).filter_map(|(_, v)| v.as_deref()).collect()
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+        self.flags.iter().any(|(n, _)| *n == name)
     }
 
     fn required(&self, name: &str) -> Result<&str, CliError> {
@@ -201,27 +359,20 @@ impl Args {
 /// Entry point: dispatches a full argument vector (without `argv[0]`).
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
-        return Err(CliError::usage(USAGE));
+        return Err(CliError::usage(usage()));
     };
-    let a = Args::parse(rest);
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        return Err(CliError::usage(format!("unknown subcommand {cmd:?}\n{}", usage())));
+    };
+    let a = Args::parse(rest, command)?;
     if a.has("metrics") {
         ppdt_obs::set_enabled(true);
     }
-    let result = match cmd.as_str() {
-        "stats" => cmd_stats(&a),
-        "encode" => cmd_encode(&a),
-        "decode-dataset" => cmd_decode_dataset(&a),
-        "mine" => cmd_mine(&a),
-        "decode-tree" => cmd_decode_tree(&a),
-        "report" => cmd_report(&a),
-        "audit" => cmd_audit(&a),
-        "serve" => cmd_serve(&a),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::usage(format!("unknown subcommand {other:?}\n{USAGE}"))),
-    };
+    let result = (command.run)(&a);
     if a.has("metrics") {
         print_metrics();
     }
@@ -247,7 +398,7 @@ fn load_data(a: &Args) -> Result<Dataset, CliError> {
     let path = a
         .positional
         .first()
-        .ok_or_else(|| CliError::usage(format!("missing input file\n{USAGE}")))?;
+        .ok_or_else(|| CliError::usage(format!("missing input file\n{}", usage())))?;
     let opts = csv::CsvOptions { lenient: a.has("lenient") };
     let (d, skips) = csv::read_csv_opts(path, opts)?;
     if !skips.is_clean() {
@@ -292,45 +443,24 @@ fn encode_config(a: &Args) -> Result<EncodeConfig, CliError> {
     Ok(EncodeConfig { strategy, ..Default::default() })
 }
 
-fn retry_policy(a: &Args, default_attempts: usize) -> Result<RetryPolicy, CliError> {
-    let attempts: usize = a.parsed("attempts", default_attempts)?;
-    match a.flag("on-exhaust").unwrap_or("fail") {
-        "fail" => Ok(RetryPolicy::failing(attempts)),
-        "fallback" => Ok(RetryPolicy::with_fallback(attempts)),
-        other => {
-            Err(CliError::usage(format!("--on-exhaust: expected fail|fallback, got {other:?}")))
-        }
-    }
-}
-
 fn cmd_encode(a: &Args) -> Result<(), CliError> {
     let d = load_data(a)?;
     let out = a.required("out")?;
     let key_path = a.required("key")?;
     let seed: u64 = a.parsed("seed", 7)?;
     let config = encode_config(a)?;
-    let mut rng = StdRng::seed_from_u64(seed);
+    // Serial by default; `--parallel` resolves the pool via
+    // PPDT_THREADS / available parallelism. The output is
+    // bit-identical either way.
+    let threads = if a.has("parallel") { 0 } else { 1 };
+    let encoded = Encoder::new(config)
+        .threads(threads)
+        .verify(true)
+        .encode(&mut StdRng::seed_from_u64(seed), &d)?;
+    eprintln!("verified encode in {} attempt(s)", encoded.attempts);
 
-    let (key, d_prime) = if a.has("verify") {
-        let encoded = Encoder::new(config)
-            .retry(retry_policy(a, 8)?)
-            .verify_with(TreeParams::default())
-            .encode(&mut rng, &d)?;
-        eprintln!("verified encode in {} attempt(s)", encoded.attempts);
-        (encoded.key, encoded.dataset)
-    } else {
-        // `.threads(1)` is the serial default; `--parallel` resolves
-        // the pool via PPDT_THREADS / available parallelism.
-        let threads = if a.has("parallel") { 0 } else { 1 };
-        Encoder::new(config)
-            .retry(retry_policy(a, 16)?)
-            .threads(threads)
-            .encode(&mut rng, &d)?
-            .into_parts()
-    };
-
-    csv::write_csv(&d_prime, out)?;
-    key.save_json(key_path)?;
+    csv::write_csv(&encoded.dataset, out)?;
+    encoded.key.save_json(key_path)?;
     eprintln!(
         "encoded {} tuples x {} attributes -> {out}; key -> {key_path}",
         d.num_rows(),
@@ -395,7 +525,7 @@ fn cmd_decode_tree(a: &Args) -> Result<(), CliError> {
     let tree_path = a
         .positional
         .first()
-        .ok_or_else(|| CliError::usage(format!("missing tree file\n{USAGE}")))?;
+        .ok_or_else(|| CliError::usage(format!("missing tree file\n{}", usage())))?;
     let tree = load_tree(tree_path)?;
     let key = TransformKey::load_json(a.required("key")?)?;
     let d = csv::read_csv(a.required("data")?)?;
@@ -416,7 +546,7 @@ fn cmd_report(a: &Args) -> Result<(), CliError> {
     let tree_path = a
         .positional
         .first()
-        .ok_or_else(|| CliError::usage(format!("missing tree file\n{USAGE}")))?;
+        .ok_or_else(|| CliError::usage(format!("missing tree file\n{}", usage())))?;
     let tree = load_tree(tree_path)?;
     let d = csv::read_csv(a.required("data")?)?;
     println!("tree: {} leaves, depth {}", tree.num_leaves(), tree.depth());
@@ -514,26 +644,24 @@ fn audit_key_mode(a: &Args, d: &Dataset, key_path: &str) -> Result<(), CliError>
 /// `ppdt-serve listening on <addr> ...` — scripts read the address
 /// from it (`--addr 127.0.0.1:0` binds an OS-assigned port).
 fn cmd_serve(a: &Args) -> Result<(), CliError> {
+    let defaults = ppdt_serve::ServerConfig::default();
     let keystore_dir = a.required("keystore-dir")?;
+    // A fixed port for an operator's daemon; the config's own `:0`
+    // default picks a free one.
     let addr = a.flag("addr").unwrap_or("127.0.0.1:7070").to_string();
-    let workers: usize = a.parsed("workers", 0)?;
-    let queue: usize = a.parsed("queue", 64)?;
-    let deadline_ms: u64 = a.parsed("deadline-ms", 10_000)?;
-    let max_body_mb: usize = a.parsed("max-body-mb", 16)?;
-    let cache_defaults = ppdt_serve::ServerConfig::default();
-    // 0 disables a cache (every request reloads + recompiles).
-    let plan_cache: usize = a.parsed("plan-cache", cache_defaults.plan_cache_capacity)?;
-    let tree_cache: usize = a.parsed("tree-cache", cache_defaults.tree_cache_capacity)?;
+    let workers: usize = a.parsed("workers", defaults.workers)?;
+    let queue: usize = a.parsed("queue", defaults.queue_capacity)?;
+    let deadline_ms: u64 = a.parsed("deadline-ms", defaults.request_deadline.as_millis() as u64)?;
+    let max_body_mb: usize = a.parsed("max-body-mb", defaults.max_body_bytes >> 20)?;
     // 0 disables keep-alive (every connection answers one request).
-    let keep_alive: u64 = a.parsed("keep-alive", cache_defaults.keep_alive_requests)?;
-    let idle_timeout_s: u64 =
-        a.parsed("idle-timeout", cache_defaults.idle_timeout.as_secs().max(1))?;
+    let keep_alive: u64 = a.parsed("keep-alive", defaults.keep_alive_requests)?;
+    let idle_timeout_s: u64 = a.parsed("idle-timeout", defaults.idle_timeout.as_secs().max(1))?;
     // Load generators want this adjustable: the accept-side cap is
     // what a high-concurrency open-loop sweep hits first.
-    let max_connections: usize = a.parsed("max-connections", cache_defaults.max_connections)?;
+    let max_connections: usize = a.parsed("max-connections", defaults.max_connections)?;
     // Cluster flags: each --peer is another daemon to replicate with.
     let peers: Vec<std::net::SocketAddr> = a
-        .flag_all("peer")?
+        .flag_all("peer")
         .into_iter()
         .map(|p| {
             p.parse()
@@ -541,7 +669,7 @@ fn cmd_serve(a: &Args) -> Result<(), CliError> {
         })
         .collect::<Result<_, _>>()?;
     let sync_interval_ms: u64 =
-        a.parsed("sync-interval-ms", cache_defaults.sync_interval.as_millis() as u64)?;
+        a.parsed("sync-interval-ms", defaults.sync_interval.as_millis() as u64)?;
     if sync_interval_ms == 0 {
         return Err(CliError::usage("--sync-interval-ms must be at least 1"));
     }
@@ -549,9 +677,9 @@ fn cmd_serve(a: &Args) -> Result<(), CliError> {
         return Err(CliError::usage("--sync-interval-ms needs at least one --peer"));
     }
     // Tenant quotas: 0 (the default) disables enforcement.
-    let tenant_max_keys: usize = a.parsed("tenant-max-keys", cache_defaults.tenant_max_keys)?;
+    let tenant_max_keys: usize = a.parsed("tenant-max-keys", defaults.tenant_max_keys)?;
     let tenant_max_inflight: usize =
-        a.parsed("tenant-max-inflight", cache_defaults.tenant_max_inflight)?;
+        a.parsed("tenant-max-inflight", defaults.tenant_max_inflight)?;
     if queue == 0 {
         return Err(CliError::usage("--queue must be at least 1"));
     }
@@ -574,8 +702,6 @@ fn cmd_serve(a: &Args) -> Result<(), CliError> {
         request_deadline: std::time::Duration::from_millis(deadline_ms),
         max_body_bytes: max_body_mb * 1024 * 1024,
         debug_endpoints: a.has("debug-endpoints"),
-        plan_cache_capacity: plan_cache,
-        tree_cache_capacity: tree_cache,
         keep_alive_requests: keep_alive,
         idle_timeout: std::time::Duration::from_secs(idle_timeout_s),
         max_connections,
@@ -583,7 +709,7 @@ fn cmd_serve(a: &Args) -> Result<(), CliError> {
         sync_interval: std::time::Duration::from_millis(sync_interval_ms),
         tenant_max_keys,
         tenant_max_inflight,
-        ..Default::default()
+        ..defaults
     };
     let store = ppdt_serve::KeyStore::open(keystore_dir)?;
     ppdt_serve::signal::install();
@@ -617,23 +743,38 @@ mod tests {
         std::env::temp_dir().join(format!("ppdt_cli_{name}_{}", std::process::id()))
     }
 
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
     #[test]
     fn args_parser_flags_and_positionals() {
-        let a = Args::parse(&s(&["in.csv", "--out", "x.csv", "--verify", "--w", "12"]));
+        let encode = command("encode");
+        let a = Args::parse(&s(&["--parallel", "in.csv", "--out", "x.csv", "--w", "12"]), encode)
+            .unwrap();
+        // A switch does not take the positional after it.
         assert_eq!(a.positional, vec!["in.csv"]);
         assert_eq!(a.flag("out"), Some("x.csv"));
-        assert!(a.has("verify"));
+        assert!(a.has("parallel"));
         assert_eq!(a.parsed::<usize>("w", 0).unwrap(), 12);
-        assert_eq!(a.parsed::<usize>("missing", 9).unwrap(), 9);
-        assert!(a.required("nope").is_err());
+        assert_eq!(a.parsed::<usize>("seed", 9).unwrap(), 9);
+        assert!(a.required("key").is_err());
+        // Flags of another subcommand, misspellings and the global
+        // switches.
+        for bad in [["--min-leef", "3"], ["--plan-cahce", "0"], ["--render", "x"]] {
+            let err = Args::parse(&s(&bad), encode).err().expect("unknown flag rejected");
+            assert_eq!(err.exit_code(), 2, "{bad:?}");
+        }
+        assert!(Args::parse(&s(&["--metrics", "--lenient"]), encode).unwrap().has("lenient"));
         // Repeatable flags: flag() sees the first, flag_all() all of
         // them, and a bare occurrence is an error not a silent drop.
-        let a = Args::parse(&s(&["--peer", "a:1", "--peer", "b:2"]));
+        let serve = command("serve");
+        let a = Args::parse(&s(&["--peer", "a:1", "--peer", "b:2"]), serve).unwrap();
         assert_eq!(a.flag("peer"), Some("a:1"));
-        assert_eq!(a.flag_all("peer").unwrap(), vec!["a:1", "b:2"]);
-        assert_eq!(a.flag_all("absent").unwrap(), Vec::<&str>::new());
-        let bare = Args::parse(&s(&["--peer", "a:1", "--peer", "--verify"]));
-        assert!(bare.flag_all("peer").is_err());
+        assert_eq!(a.flag_all("peer"), vec!["a:1", "b:2"]);
+        assert_eq!(a.flag_all("addr"), Vec::<&str>::new());
+        assert!(Args::parse(&s(&["--peer", "a:1", "--peer", "--metrics"]), serve).is_err());
+        assert!(Args::parse(&s(&["--peer"]), serve).is_err());
     }
 
     #[test]
@@ -664,7 +805,6 @@ mod tests {
             key_json.to_str().unwrap(),
             "--seed",
             "9",
-            "--verify",
         ]))
         .unwrap();
         run(&s(&["mine", dprime_csv.to_str().unwrap(), "--out", tprime_json.to_str().unwrap()]))
@@ -720,8 +860,10 @@ mod tests {
         ppdt_data::csv::write_csv(&d, &data_csv).unwrap();
         let serial_out = tmp("par_serial.csv");
         let parallel_out = tmp("par_parallel.csv");
+        let unverified_out = tmp("par_unverified.csv");
         let serial_key = tmp("par_serial_key.json");
         let parallel_key = tmp("par_parallel_key.json");
+        let unverified_key = tmp("par_unverified_key.json");
         run(&s(&[
             "encode",
             data_csv.to_str().unwrap(),
@@ -733,8 +875,10 @@ mod tests {
             "11",
         ]))
         .unwrap();
+        // The switch before the positional must leave it positional.
         run(&s(&[
             "encode",
+            "--parallel",
             data_csv.to_str().unwrap(),
             "--out",
             parallel_out.to_str().unwrap(),
@@ -742,19 +886,33 @@ mod tests {
             parallel_key.to_str().unwrap(),
             "--seed",
             "11",
-            "--parallel",
             "--metrics",
         ]))
         .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&serial_out).unwrap(),
-            std::fs::read_to_string(&parallel_out).unwrap()
-        );
-        assert_eq!(
-            std::fs::read_to_string(&serial_key).unwrap(),
-            std::fs::read_to_string(&parallel_key).unwrap()
-        );
-        for p in [&data_csv, &serial_out, &parallel_out, &serial_key, &parallel_key] {
+        // The CLI always verifies; for the all-monotone keys it draws
+        // that changes no byte against an unverified encode.
+        let encoded = Encoder::new(EncodeConfig::default())
+            .encode(&mut StdRng::seed_from_u64(11), &csv::read_csv(&data_csv).unwrap())
+            .unwrap();
+        csv::write_csv(&encoded.dataset, &unverified_out).unwrap();
+        encoded.key.save_json(&unverified_key).unwrap();
+        for (outs, what) in [
+            ([&serial_out, &parallel_out, &unverified_out], "D'"),
+            ([&serial_key, &parallel_key, &unverified_key], "key"),
+        ] {
+            let bytes: Vec<Vec<u8>> = outs.iter().map(|p| std::fs::read(p).unwrap()).collect();
+            assert_eq!(bytes[0], bytes[1], "serial vs parallel {what}");
+            assert_eq!(bytes[0], bytes[2], "verified vs unverified {what}");
+        }
+        for p in [
+            &data_csv,
+            &serial_out,
+            &parallel_out,
+            &unverified_out,
+            &serial_key,
+            &parallel_key,
+            &unverified_key,
+        ] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -960,6 +1118,9 @@ bogus,y
             ["--sync-interval-ms", "0"],
             // --sync-interval-ms without any --peer is meaningless.
             ["--sync-interval-ms", "500"],
+            // The cache capacities are constants, not flags.
+            ["--plan-cache", "0"],
+            ["--tree-cache", "0"],
         ] {
             let mut args = s(&["serve", "--keystore-dir", "/tmp/ppdt-serve-flags"]);
             args.extend(s(&bad));
@@ -981,34 +1142,24 @@ bogus,y
 
     #[test]
     fn retry_flags_are_validated() {
+        // The draw bound is a constant and every encode is verified,
+        // so no flag sets either: these are unknown flags.
         let d = figure1();
         let data_csv = tmp("retry.csv");
         ppdt_data::csv::write_csv(&d, &data_csv).unwrap();
-        let err = run(&s(&[
-            "encode",
-            data_csv.to_str().unwrap(),
-            "--out",
-            "/tmp/ppdt_retry_out.csv",
-            "--key",
-            "/tmp/ppdt_retry_key.json",
-            "--on-exhaust",
-            "explode",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
-        // Zero attempts is rejected by RetryPolicy::validate.
-        let err = run(&s(&[
-            "encode",
-            data_csv.to_str().unwrap(),
-            "--out",
-            "/tmp/ppdt_retry_out.csv",
-            "--key",
-            "/tmp/ppdt_retry_key.json",
-            "--attempts",
-            "0",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
+        for bad in [&["--attempts", "0"][..], &["--on-exhaust", "fallback"], &["--verify"]] {
+            let mut args = s(&[
+                "encode",
+                data_csv.to_str().unwrap(),
+                "--out",
+                "/tmp/ppdt_retry_out.csv",
+                "--key",
+                "/tmp/ppdt_retry_key.json",
+            ]);
+            args.extend(s(bad));
+            let err = run(&args).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad:?}: {err}");
+        }
         let _ = std::fs::remove_file(&data_csv);
     }
 }

@@ -32,8 +32,9 @@
 //! copy an `Arc`, so the critical sections are tiny), and both are
 //! observable: [`ppdt_obs::Counter::PlanCacheHits`]/`Misses`/
 //! `Evictions` and [`ppdt_obs::Counter::TreeCacheHits`] flow into
-//! `/metrics` and `BenchReport`. Capacity 0 disables a cache — the
-//! benches use that to measure the cold path.
+//! `/metrics` and `BenchReport`. The daemon holds at most
+//! `PLAN_CACHE_CAPACITY` (64) plans and `TREE_CACHE_CAPACITY` (32)
+//! trees.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -45,6 +46,12 @@ use ppdt_transform::{CompiledKey, TransformKey};
 use ppdt_tree::DecisionTree;
 
 use crate::keystore::{KeyStore, Tenant};
+
+/// Compiled plans the daemon's [`PlanCache`] holds at once.
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 64;
+
+/// Decoded trees the daemon's [`TreeCache`] holds at once.
+pub(crate) const TREE_CACHE_CAPACITY: usize = 32;
 
 /// Cheap change detector for a key-envelope file: byte length plus
 /// mtime. Content addressing means same-id rewrites only happen on
@@ -82,9 +89,8 @@ struct Inner<V> {
 }
 
 /// A bounded string-keyed LRU map. Capacity 0 disables it: every
-/// `get` misses and `insert` is a no-op, which is how the benches
-/// force the cold path. Crate-visible so the key store can reuse it
-/// for parsed-envelope caching.
+/// `get` misses and `insert` is a no-op. Crate-visible so the key
+/// store can reuse it for parsed-envelope caching.
 pub(crate) struct LruCache<V> {
     capacity: usize,
     inner: Mutex<Inner<V>>,

@@ -1,19 +1,15 @@
 //! Deadline-aware loopback HTTP client with `Retry-After`-honoring
 //! retry — the shared client for cluster peers, integration tests,
-//! and bench binaries.
+//! and bench binaries, and the one-shot [`request`] built on it.
 //!
-//! [`crate::http::request`] answers exactly one exchange and drops
-//! the response headers on the floor, so every test and bench binary
-//! that needed a deadline, a retry, or a `Retry-After` value grew its
-//! own ad-hoc socket loop. This module is the one shared
-//! implementation:
+//! This module is the one implementation of a one-shot exchange:
 //!
 //! * a fresh `Connection: close` socket per attempt — an overload 503
 //!   always closes the connection, so there is nothing to reuse on
 //!   the retry path;
 //! * hard connect and read/write deadlines, so a dead or wedged peer
 //!   costs bounded wall-clock time instead of a hung thread;
-//! * a bounded retry loop (budgeted by [`ppdt_transform::RetryPolicy`])
+//! * a bounded retry loop (budgeted by [`ClientConfig::attempts`])
 //!   that sleeps the server's `Retry-After` on a 503 and backs off
 //!   exponentially on connection errors.
 //!
@@ -27,7 +23,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use ppdt_error::PpdtError;
-use ppdt_transform::RetryPolicy;
 
 /// Ceiling on any single retry sleep (backoff or `Retry-After`): the
 /// client is for loopback/LAN peers where multi-second waits only
@@ -41,10 +36,8 @@ pub struct ClientConfig {
     pub connect_timeout: Duration,
     /// Socket read/write deadline per attempt.
     pub io_timeout: Duration,
-    /// Attempt budget ([`RetryPolicy::max_attempts`]; the exhaust
-    /// mode is irrelevant here — a client can only fail with its last
-    /// error, there is no fallback value to substitute).
-    pub retry: RetryPolicy,
+    /// Exchanges per request, the first included; `0` counts as 1.
+    pub attempts: usize,
     /// Base sleep after a connection error; doubles per failed
     /// attempt (capped). A 503 sleeps its `Retry-After` instead.
     pub backoff: Duration,
@@ -55,7 +48,7 @@ impl Default for ClientConfig {
         ClientConfig {
             connect_timeout: Duration::from_secs(2),
             io_timeout: Duration::from_secs(10),
-            retry: RetryPolicy::failing(4),
+            attempts: 4,
             backoff: Duration::from_millis(50),
         }
     }
@@ -182,7 +175,7 @@ impl RetryingClient {
         path: &str,
         body: &str,
     ) -> Result<RequestOutcome, PpdtError> {
-        let attempts = self.cfg.retry.max_attempts.max(1);
+        let attempts = self.cfg.attempts.max(1);
         let mut backoff = self.cfg.backoff;
         let mut retry_wait = Duration::ZERO;
         for attempt in 1..=attempts {
@@ -232,6 +225,28 @@ pub struct RequestOutcome {
     /// connection-error backoff). Wall clock minus this is the time
     /// spent actually connecting and exchanging.
     pub retry_wait: Duration,
+}
+
+/// Blocking loopback client: one request, one `(status, body)` answer
+/// over a fresh `Connection: close` socket with 30 s deadlines and no
+/// retry.
+///
+/// Used by the integration tests and anything else that wants to
+/// poke the daemon without an external tool. For retries, see
+/// [`RetryingClient`]; for connection reuse, [`crate::http::Client`].
+pub fn request(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(u16, String), PpdtError> {
+    let cfg = ClientConfig {
+        connect_timeout: Duration::from_secs(30),
+        io_timeout: Duration::from_secs(30),
+        ..ClientConfig::default()
+    };
+    let ex = RetryingClient::with_config(addr, cfg).exchange_once(method, path, body)?;
+    Ok((ex.status, ex.body))
 }
 
 /// Writes `raw` bytes to a fresh socket, half-closes the write side,
@@ -363,7 +378,7 @@ mod tests {
         // fast with ECONNREFUSED on loopback.
         let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
         let cfg = ClientConfig {
-            retry: RetryPolicy::failing(3),
+            attempts: 3,
             backoff: Duration::from_millis(10),
             ..ClientConfig::default()
         };

@@ -39,6 +39,13 @@ use crate::server::ServerConfig;
 /// The most the loop reads from one socket per readiness.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
+/// Socket write timeout: how long a worker waits on a peer that
+/// stopped reading its answer.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Hard ceiling on one connection's total lifetime, busy or not.
+pub(crate) const CONN_LIFETIME: Duration = Duration::from_secs(300);
+
 /// Buffers that grew beyond this are dropped once empty instead of
 /// kept, so one oversized request cannot pin memory for a
 /// connection's whole lifetime.
@@ -111,10 +118,10 @@ impl Conn {
     /// loop's reads and writes, `TCP_NODELAY` (an answer is one small
     /// write; Nagle plus delayed ACK would hold it), and a write
     /// timeout for a worker writing to a reader that stalls.
-    pub fn new(stream: TcpStream, write_timeout: Duration) -> std::io::Result<Conn> {
+    pub fn new(stream: TcpStream) -> std::io::Result<Conn> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(write_timeout))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let now = Instant::now();
         Ok(Conn {
             stream,
@@ -206,7 +213,7 @@ impl Conn {
         if self.mid_request() || self.linger.is_some() {
             *self.deadline.get_or_insert(now + cfg.parse_deadline)
         } else {
-            (self.idle_since + cfg.idle_timeout).min(self.created + cfg.conn_lifetime)
+            (self.idle_since + cfg.idle_timeout).min(self.created + CONN_LIFETIME)
         }
     }
 
@@ -214,7 +221,7 @@ impl Conn {
     /// request just framed: it has served its quota of requests, or
     /// outlived its lifetime.
     pub fn spent(&self, cfg: &ServerConfig) -> bool {
-        self.requests >= cfg.keep_alive_requests || self.created.elapsed() >= cfg.conn_lifetime
+        self.requests >= cfg.keep_alive_requests || self.created.elapsed() >= CONN_LIFETIME
     }
 
     /// Reads what the socket has ready into the inbox (one read, up to
@@ -450,7 +457,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
-        (client, Conn::new(server, Duration::from_secs(5)).unwrap())
+        (client, Conn::new(server).unwrap())
     }
 
     /// Feeds `bytes` into the connection's inbox as if the loop had

@@ -470,7 +470,7 @@ fn store_key(req: &Request, ctx: &RequestCtx) -> Result<Response, HttpError> {
     }
     let (key_id, created) = ctx.store.put_in(ctx.tenant, &body.key).map_err(HttpError::from)?;
     // Compile at store time so the first encode/classify under this
-    // key is already warm (no-op when the plan cache is disabled).
+    // key is already warm.
     ctx.caches.plans.warm(ctx.store, ctx.tenant, &key_id);
     // Best-effort push so new keys cross the cluster in milliseconds
     // instead of a sync interval. Only a *created* store queues one:

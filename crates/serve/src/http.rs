@@ -11,11 +11,9 @@
 //! carrying the status code to answer with — a malformed request is
 //! an expected input, never a panic.
 //!
-//! The module also ships two blocking loopback clients used by the
-//! integration tests, the throughput benchmark, and the smoke
-//! script: the one-shot [`request`] helper (`Connection: close`) and
-//! the persistent [`Client`], which reuses one socket across many
-//! requests and can pipeline.
+//! The module also ships the persistent blocking loopback [`Client`],
+//! which reuses one socket across many requests and can pipeline; the
+//! one-shot `Connection: close` helper is [`crate::client::request`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -653,47 +651,6 @@ pub fn write_stream_head<W: Write>(
         content_type,
         if close { "close" } else { "keep-alive" },
     )
-}
-
-/// Blocking loopback client: one request, one `(status, body)` answer
-/// over a fresh `Connection: close` socket.
-///
-/// Used by the integration tests and anything else that wants to
-/// poke the daemon without an external tool. For connection reuse,
-/// see [`Client`].
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Result<(u16, String), PpdtError> {
-    let err = |what: &str, e: &dyn std::fmt::Display| PpdtError::Io {
-        path: Some(format!("http://{addr}{path}")),
-        detail: format!("{what}: {e}"),
-    };
-    let mut stream = TcpStream::connect(addr).map_err(|e| err("connect", &e))?;
-    stream.set_read_timeout(Some(Duration::from_secs(30))).map_err(|e| err("timeout", &e))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30))).map_err(|e| err("timeout", &e))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).map_err(|e| err("write", &e))?;
-    stream.write_all(body.as_bytes()).map_err(|e| err("write", &e))?;
-    stream.flush().map_err(|e| err("flush", &e))?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| err("read", &e))?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, tail) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| err("parse", &"no header terminator in response"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| err("parse", &"no status code in response"))?;
-    Ok((status, tail.to_string()))
 }
 
 /// A persistent (keep-alive) loopback HTTP client.

@@ -25,8 +25,7 @@
 //! * [`http`] — minimal HTTP/1.1 framing: persistent keep-alive
 //!   connections, `Content-Length` and `Transfer-Encoding: chunked`
 //!   bodies, hard head/body caps, typed [`HttpError`]s, plus the
-//!   blocking loopback clients (one-shot [`request`], persistent
-//!   [`Client`]),
+//!   persistent blocking loopback [`Client`],
 //! * [`api`] — the public wire types (request/response payloads) and
 //!   the schema-version constants reported by `GET /v1/version`,
 //! * [`keystore`] — the persistent versioned key store:
@@ -46,7 +45,8 @@
 //!   `GET /metrics` / `GET /v1/version`,
 //! * [`client`] — the deadline-aware loopback client with
 //!   `Retry-After`-honoring retry, shared by the cluster sync loop,
-//!   the integration tests, and the bench binaries,
+//!   the integration tests, and the bench binaries, and the one-shot
+//!   [`request`] built on it,
 //! * [`peer`] — cluster membership and the pull-based anti-entropy
 //!   sync loop: manifest polling, read-through fetch for
 //!   not-yet-synced keys, best-effort push on store, per-peer health
@@ -90,9 +90,9 @@ mod stream;
 
 pub use api::{VersionResponse, API_SCHEMA_VERSION, BENCH_REPORT_SCHEMA_VERSION};
 pub use cache::{Caches, PlanCache, TreeCache};
-pub use client::{ClientConfig, Exchange, RequestOutcome, RetryingClient};
+pub use client::{request, ClientConfig, Exchange, RequestOutcome, RetryingClient};
 pub use handlers::{Endpoint, Route};
-pub use http::{request, Client, HttpError, Request, Response};
+pub use http::{Client, HttpError, Request, Response};
 pub use keystore::{KeyEntry, KeyEnvelope, KeyStore, Tenant, KEYSTORE_SCHEMA_VERSION};
 pub use peer::PeerSnapshot;
 pub use server::{Server, ServerConfig};

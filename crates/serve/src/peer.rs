@@ -64,6 +64,10 @@ const BACKOFF_CAP_SHIFT: u32 = 5;
 /// next anti-entropy round delivers the key instead.
 const PUSH_QUEUE_DEPTH: usize = 64;
 
+/// Budget for a read-through fetch: the longest a request for a
+/// not-yet-synced key may wait on peers before answering 404.
+pub(crate) const PEER_FETCH_DEADLINE: Duration = Duration::from_secs(2);
+
 /// One peer's health row, rendered in `/healthz` and `/metrics`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PeerSnapshot {
@@ -111,7 +115,6 @@ enum Need {
 pub struct Cluster {
     node_id: String,
     sync_interval: Duration,
-    fetch_deadline: Duration,
     peers: Vec<PeerSlot>,
     push_tx: SyncSender<(Tenant, String)>,
     push_rx: Mutex<Receiver<(Tenant, String)>>,
@@ -120,22 +123,16 @@ pub struct Cluster {
 impl Cluster {
     /// Builds the membership for a node advertised as `node_id`
     /// (its bound address) with the given peer set.
-    pub(crate) fn new(
-        node_id: String,
-        peers: &[SocketAddr],
-        sync_interval: Duration,
-        fetch_deadline: Duration,
-    ) -> Cluster {
+    pub(crate) fn new(node_id: String, peers: &[SocketAddr], sync_interval: Duration) -> Cluster {
         let now = Instant::now();
         let (push_tx, push_rx) = std::sync::mpsc::sync_channel(PUSH_QUEUE_DEPTH);
         Cluster {
             node_id,
             sync_interval,
-            fetch_deadline,
             peers: peers
                 .iter()
                 .map(|&addr| PeerSlot {
-                    client: PeerClient::new(addr, fetch_deadline, 2),
+                    client: PeerClient::new(addr, PEER_FETCH_DEADLINE, 2),
                     state: Mutex::new(PeerState {
                         reachable: false,
                         last_sync: None,
@@ -186,7 +183,7 @@ impl Cluster {
     /// fetch deadline across all peers; returns whether the key is
     /// now locally servable. Counted like any other peer fetch.
     pub(crate) fn fetch_from_peers(&self, store: &KeyStore, tenant: &Tenant, key_id: &str) -> bool {
-        let deadline = Instant::now() + self.fetch_deadline;
+        let deadline = Instant::now() + PEER_FETCH_DEADLINE;
         // Reachable peers first: sync lag is the common case and a
         // dead peer costs a whole connect timeout from the budget.
         let mut order: Vec<&PeerSlot> = self.peers.iter().collect();

@@ -4,14 +4,14 @@
 //! Built on [`crate::client::RetryingClient`], so every call gets the
 //! shared deadline/retry policy: a fresh connection per attempt, hard
 //! connect/read deadlines, and a bounded retry budget
-//! ([`ppdt_transform::RetryPolicy`]) so a dead peer costs bounded
-//! wall-clock time per sync round instead of a wedged loop.
+//! ([`crate::client::ClientConfig::attempts`]) so a dead peer costs
+//! bounded wall-clock time per sync round instead of a wedged loop.
 
 use std::net::SocketAddr;
 use std::time::Duration;
 
 use ppdt_error::PpdtError;
-use ppdt_transform::{RetryPolicy, TransformKey};
+use ppdt_transform::TransformKey;
 
 use crate::api::{PeerFetchRequest, PeerFetchResponse, PeerManifestResponse, StoreKeyRequest};
 use crate::client::{ClientConfig, RetryingClient};
@@ -30,7 +30,7 @@ impl PeerClient {
         let cfg = ClientConfig {
             connect_timeout: deadline.min(Duration::from_secs(1)),
             io_timeout: deadline,
-            retry: RetryPolicy::failing(attempts.max(1)),
+            attempts,
             backoff: Duration::from_millis(25),
         };
         PeerClient { http: RetryingClient::with_config(addr, cfg) }

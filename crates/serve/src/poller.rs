@@ -228,7 +228,7 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         assert!(poller.wait(Some(&listener), &[], Duration::from_secs(2), &mut ready));
         let (server, _) = listener.accept().unwrap();
-        let conns = vec![Conn::new(server, Duration::from_secs(1)).unwrap()];
+        let conns = vec![Conn::new(server).unwrap()];
 
         poller.wait(None, &conns, Duration::from_millis(50), &mut ready);
         assert!(ready.is_empty(), "a quiet connection is not ready");
@@ -243,7 +243,7 @@ mod tests {
         // A worker handing a connection back cuts the wait short.
         let other = TcpStream::connect(addr).unwrap();
         let started = Instant::now();
-        handback.give(Conn::new(other, Duration::from_secs(1)).unwrap());
+        handback.give(Conn::new(other).unwrap());
         poller.wait(None, &[], Duration::from_secs(2), &mut ready);
         assert!(started.elapsed() < Duration::from_secs(1), "the hand-back woke the wait");
         assert_eq!(poller.returned().count(), 1);

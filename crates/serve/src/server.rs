@@ -28,8 +28,8 @@
 //! [`ServerConfig::parse_deadline`] answers it `408` — even as the
 //! second request of a pipeline. A chunked body is read by the worker
 //! itself: `/v1/encode` and `/v1/classify` (and their `/v2/t/{tenant}/`
-//! forms) stream it batch by batch under
-//! [`ServerConfig::stream_deadline`] (the private `stream` module);
+//! forms) stream it batch by batch within 120 s (the private `stream`
+//! module);
 //! other endpoints buffer it under `parse_deadline`. A chunked request
 //! refused before its body is read closes lingeringly: the loop reads
 //! and discards the rest, within `max_body_bytes` and `parse_deadline`,
@@ -41,8 +41,8 @@
 //! A connection stays open across requests (HTTP/1.1 keep-alive,
 //! honoring `Connection: close`/`keep-alive`) up to
 //! [`ServerConfig::keep_alive_requests`] requests,
-//! [`ServerConfig::idle_timeout`] between requests, and
-//! [`ServerConfig::conn_lifetime`] overall.
+//! [`ServerConfig::idle_timeout`] between requests, and 300 s
+//! overall.
 //!
 //! Tenant quotas are enforced at the worker boundary: a tenant past
 //! [`ServerConfig::tenant_max_inflight`] concurrent requests is
@@ -69,7 +69,7 @@ use ppdt_error::PpdtError;
 use ppdt_obs::Counter;
 use serde::Serialize;
 
-use crate::cache::Caches;
+use crate::cache::{Caches, PLAN_CACHE_CAPACITY, TREE_CACHE_CAPACITY};
 use crate::conn::{Conn, Frame, READ_CHUNK};
 use crate::handlers::{self, Endpoint, HandlerCtx, Route, ENDPOINTS};
 use crate::http::{read_chunked_into, HttpError, Request, Response};
@@ -101,24 +101,14 @@ pub struct ServerConfig {
     /// at most two such bodies at once, and a lingering close discards
     /// at most this much.
     pub max_body_bytes: usize,
-    /// Per-connection socket write timeout: how long a worker waits on
-    /// a peer that stopped reading its answer.
-    pub io_timeout: Duration,
     /// Hard ceiling on the total time a connection may take to deliver
-    /// one complete request (head + body). Unlike `io_timeout` it is
-    /// not reset by each byte, so it bounds slow-loris peers; on a
-    /// kept-alive connection it re-arms once per request. It also
-    /// bounds a lingering close.
+    /// one complete request (head + body). Unlike the 30 s socket
+    /// write timeout it is not reset by each byte, so it bounds
+    /// slow-loris peers; on a kept-alive connection it re-arms once
+    /// per request. It also bounds a lingering close.
     pub parse_deadline: Duration,
     /// Routes the test-only `POST /v1/debug/*` endpoints.
     pub debug_endpoints: bool,
-    /// Compiled-plan cache capacity (keys held at once); `0` disables
-    /// the cache and every request re-loads, re-audits, and
-    /// re-compiles its key (the benches use this for the cold path).
-    pub plan_cache_capacity: usize,
-    /// Decoded-tree cache capacity (`/v1/decode-tree`); `0` disables
-    /// it.
-    pub tree_cache_capacity: usize,
     /// Requests served per connection before the daemon closes it
     /// (`0` disables keep-alive entirely: every response carries
     /// `Connection: close`).
@@ -127,15 +117,6 @@ pub struct ServerConfig {
     /// nothing buffered) may wait on the readiness loop before it is
     /// closed.
     pub idle_timeout: Duration,
-    /// Hard ceiling on one connection's total lifetime, busy or not.
-    pub conn_lifetime: Duration,
-    /// Total-time budget for one streaming (chunked) request,
-    /// replacing `parse_deadline` while the body streams.
-    pub stream_deadline: Duration,
-    /// Rows per batch on the streaming encode/classify path — the
-    /// daemon's memory ceiling is a few batches of columns, never the
-    /// whole dataset.
-    pub stream_chunk_rows: usize,
     /// Connections the readiness loop holds at once (those at a worker
     /// are not counted); above it new connections are shed with `503`.
     pub max_connections: usize,
@@ -147,9 +128,6 @@ pub struct ServerConfig {
     /// peer's manifest (unreachable peers back off exponentially from
     /// this base).
     pub sync_interval: Duration,
-    /// Budget for a read-through fetch: the longest a request for a
-    /// not-yet-synced key may wait on peers before answering 404.
-    pub peer_fetch_deadline: Duration,
     /// Keys one tenant may hold at once; storing past the quota
     /// answers `429` with `Retry-After`. `0` disables the quota.
     pub tenant_max_keys: usize,
@@ -168,20 +146,13 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             request_deadline: Duration::from_secs(10),
             max_body_bytes: crate::http::DEFAULT_MAX_BODY_BYTES,
-            io_timeout: Duration::from_secs(30),
             parse_deadline: Duration::from_secs(5),
             debug_endpoints: false,
-            plan_cache_capacity: 64,
-            tree_cache_capacity: 32,
             keep_alive_requests: 100,
             idle_timeout: Duration::from_secs(10),
-            conn_lifetime: Duration::from_secs(300),
-            stream_deadline: Duration::from_secs(120),
-            stream_chunk_rows: 8192,
             max_connections: 1024,
             peers: Vec::new(),
             sync_interval: Duration::from_secs(2),
-            peer_fetch_deadline: Duration::from_secs(2),
             tenant_max_keys: 0,
             tenant_max_inflight: 0,
         }
@@ -458,13 +429,12 @@ impl Server {
             detail: format!("set_nonblocking: {e}"),
         })?;
         let workers = if cfg.workers == 0 { ppdt_obs::threads(None) } else { cfg.workers };
-        let caches = Caches::new(cfg.plan_cache_capacity, cfg.tree_cache_capacity);
+        let caches = Caches::new(PLAN_CACHE_CAPACITY, TREE_CACHE_CAPACITY);
         // The bound address (with `:0` resolved) is the node's cluster
         // identity: unique per daemon and exactly what peers dial.
         let node_id = addr.to_string();
-        let cluster = (!cfg.peers.is_empty()).then(|| {
-            Cluster::new(node_id.clone(), &cfg.peers, cfg.sync_interval, cfg.peer_fetch_deadline)
-        });
+        let cluster = (!cfg.peers.is_empty())
+            .then(|| Cluster::new(node_id.clone(), &cfg.peers, cfg.sync_interval));
         Ok(Server {
             cfg,
             listener,
@@ -610,7 +580,7 @@ impl Server {
                 Err(e) if crate::conn::would_block(&e) => return Ok(()),
                 Err(e) => return Err(e),
             };
-            let Ok(conn) = Conn::new(stream, self.cfg.io_timeout) else { continue };
+            let Ok(conn) = Conn::new(stream) else { continue };
             if conns.len() >= self.cfg.max_connections {
                 let shed = HttpError::overloaded("connection ceiling reached").to_response();
                 self.reply(conn, None, shed, true, false);
@@ -623,7 +593,7 @@ impl Server {
     /// Applies the deadlines to a connection the loop holds: a request
     /// that has not arrived whole by its parse deadline is answered
     /// `408`; a connection idle past `idle_timeout`, older than
-    /// `conn_lifetime` between requests, or lingering past its
+    /// `CONN_LIFETIME` between requests, or lingering past its
     /// deadline is closed silently. Lowers `next` to the connection's
     /// next deadline.
     fn expire(&self, mut conn: Conn, now: Instant, next: &mut Instant) -> Option<Conn> {
@@ -1008,6 +978,9 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{CONN_LIFETIME, WRITE_TIMEOUT};
+    use crate::peer::PEER_FETCH_DEADLINE;
+    use crate::stream::{STREAM_CHUNK_ROWS, STREAM_DEADLINE};
 
     #[test]
     fn config_defaults_are_sane() {
@@ -1018,15 +991,20 @@ mod tests {
         assert_eq!(cfg.max_body_bytes, crate::http::DEFAULT_MAX_BODY_BYTES);
         assert!(cfg.keep_alive_requests > 1, "keep-alive is on by default");
         assert!(cfg.idle_timeout > Duration::ZERO);
-        assert!(cfg.conn_lifetime >= cfg.idle_timeout);
-        assert!(cfg.stream_deadline >= cfg.parse_deadline);
-        assert!(cfg.stream_chunk_rows > 0);
         assert!(cfg.max_connections > 0);
         assert!(cfg.peers.is_empty(), "standalone by default");
         assert!(cfg.sync_interval > Duration::ZERO);
-        assert!(cfg.peer_fetch_deadline > Duration::ZERO);
+        // Fixed settings, which no config field overrides.
+        assert_eq!((PLAN_CACHE_CAPACITY, TREE_CACHE_CAPACITY), (64, 32));
+        assert_eq!(CONN_LIFETIME, Duration::from_secs(300));
+        assert_eq!(STREAM_DEADLINE, Duration::from_secs(120));
+        assert_eq!(STREAM_CHUNK_ROWS, 8192);
+        assert_eq!(PEER_FETCH_DEADLINE, Duration::from_secs(2));
+        assert_eq!(WRITE_TIMEOUT, Duration::from_secs(30));
+        assert!(CONN_LIFETIME >= cfg.idle_timeout);
+        assert!(STREAM_DEADLINE >= cfg.parse_deadline);
         assert!(
-            cfg.peer_fetch_deadline <= cfg.request_deadline,
+            PEER_FETCH_DEADLINE <= cfg.request_deadline,
             "a read-through fetch must fit inside the request budget"
         );
         assert_eq!(cfg.tenant_max_keys, 0, "tenant key quota off by default");

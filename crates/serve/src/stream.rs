@@ -3,7 +3,7 @@
 //!
 //! A chunked request never materializes the dataset: the worker
 //! decodes the body incrementally ([`ChunkedReader`]), batches rows
-//! ([`crate::server::ServerConfig::stream_chunk_rows`] at a time),
+//! ([`STREAM_CHUNK_ROWS`] at a time),
 //! feeds each batch column-wise through
 //! [`CompiledKey::encode_column`](ppdt_transform::CompiledKey::encode_column),
 //! and streams the answer back as a chunked response — so a
@@ -30,7 +30,7 @@
 //! an aborted body.
 
 use std::io::{BufRead, BufReader, Write};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ppdt_data::AttrId;
 use ppdt_error::PpdtError;
@@ -46,6 +46,15 @@ use crate::server::ServerConfig;
 /// Cap on one line inside a streamed CSV body.
 const MAX_ROW_LINE: usize = 1024 * 1024;
 
+/// Total-time budget for one streaming (chunked) request, replacing
+/// [`ServerConfig::parse_deadline`] while the body streams.
+pub(crate) const STREAM_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Rows per batch on the streaming encode/classify path: the daemon's
+/// memory ceiling is a few batches of columns, never the whole
+/// dataset.
+pub(crate) const STREAM_CHUNK_ROWS: usize = 8192;
+
 /// How a streaming request ended, from the connection's perspective.
 pub(crate) enum StreamEnd {
     /// Response fully streamed.
@@ -60,7 +69,7 @@ pub(crate) enum StreamEnd {
 }
 
 /// Runs one streaming request on a worker thread, reading the chunked
-/// body off `conn` under `stream_deadline` and writing the answer
+/// body off `conn` under [`STREAM_DEADLINE`] and writing the answer
 /// straight to its socket. `started` turns true just before the
 /// response head is written, so a caller catching a panic knows
 /// whether an error answer can still be sent.
@@ -73,7 +82,7 @@ pub(crate) fn run(
     cfg: &ServerConfig,
 ) -> StreamEnd {
     let ctx = shared.scoped(&route.tenant);
-    let deadline = Instant::now() + cfg.stream_deadline;
+    let deadline = Instant::now() + STREAM_DEADLINE;
     let end = conn.read_through(deadline, |reader, mut out| {
         let mut body = BufReader::new(ChunkedReader::new(reader));
         let mut end = match route.endpoint {
@@ -355,11 +364,10 @@ fn stream_encode<R: BufRead, W: Write>(
         format!("{attrs},class")
     };
 
-    let max_rows = cfg.stream_chunk_rows.max(1);
     let mut batch = Batch::new(num_attrs);
     let mut line_no = 0u64;
     let mut line_buf = Vec::new();
-    let mut eof = match batch.fill(body, max_rows, &mut line_no, true, &mut line_buf) {
+    let mut eof = match batch.fill(body, STREAM_CHUNK_ROWS, &mut line_no, true, &mut line_buf) {
         Ok(eof) => eof,
         Err(e) => return StreamEnd::Error(e),
     };
@@ -379,7 +387,9 @@ fn stream_encode<R: BufRead, W: Write>(
         write_chunk(w, text.as_bytes())?;
         chunks += 1;
         while !eof {
-            eof = batch.fill(body, max_rows, &mut line_no, true, &mut line_buf).map_err(abort)?;
+            eof = batch
+                .fill(body, STREAM_CHUNK_ROWS, &mut line_no, true, &mut line_buf)
+                .map_err(abort)?;
             if batch.rows == 0 {
                 break;
             }
@@ -436,11 +446,10 @@ fn stream_classify<R: BufRead, W: Write>(
     let tree = &header.tree;
 
     let num_attrs = plan.plan.num_attrs();
-    let max_rows = cfg.stream_chunk_rows.max(1);
     let mut batch = Batch::new(num_attrs);
     let mut line_no = 0u64;
     let mut line_buf = Vec::new();
-    let mut eof = match batch.fill(body, max_rows, &mut line_no, false, &mut line_buf) {
+    let mut eof = match batch.fill(body, STREAM_CHUNK_ROWS, &mut line_no, false, &mut line_buf) {
         Ok(eof) => eof,
         Err(e) => return StreamEnd::Error(e),
     };
@@ -468,7 +477,9 @@ fn stream_classify<R: BufRead, W: Write>(
         write_chunk(w, text.as_bytes())?;
         chunks += 1;
         while !eof {
-            eof = batch.fill(body, max_rows, &mut line_no, false, &mut line_buf).map_err(abort)?;
+            eof = batch
+                .fill(body, STREAM_CHUNK_ROWS, &mut line_no, false, &mut line_buf)
+                .map_err(abort)?;
             if batch.rows == 0 {
                 break;
             }

@@ -77,30 +77,37 @@ fn version_endpoint_reports_schema_versions() {
 fn warm_requests_hit_the_caches_and_match_cold_answers() {
     ppdt_obs::set_enabled(true);
     let warm_srv = common::start(ServerConfig::default(), "warmpath");
-    let cold_srv = common::start(
-        ServerConfig { plan_cache_capacity: 0, tree_cache_capacity: 0, ..Default::default() },
-        "coldpath",
-    );
+    let cold_srv = common::start(ServerConfig::default(), "coldpath");
 
     let (d, key) = sample(71, 150);
     let csv = to_csv(&d);
     let warm_id = store(&warm_srv, &key);
-    let cold_id = store(&cold_srv, &key);
-    assert_eq!(warm_id, cold_id, "content addressing is daemon-independent");
+    // Storing through the API compiles the plan, so the second daemon
+    // gets the envelope file straight into its store directory: its
+    // first encode must load, audit and compile the key.
+    let envelope = format!("{warm_id}.json");
+    std::fs::copy(warm_srv.dir.join(&envelope), cold_srv.dir.join(&envelope))
+        .expect("copy the envelope into the second store");
 
-    // Same payload, cached plan vs. recompiled-every-time plan: the
+    // Same payload, cached plan vs. freshly compiled plan: the
     // answers must be byte-identical.
     let hits_before = counter_value(&warm_srv, "plan_cache_hits");
     let (s1, warm1) = encode_csv(&warm_srv, &warm_id, &csv);
     let (s2, warm2) = encode_csv(&warm_srv, &warm_id, &csv);
-    let (s3, cold) = encode_csv(&cold_srv, &cold_id, &csv);
+    let hits_after = counter_value(&warm_srv, "plan_cache_hits");
+    let misses_before = counter_value(&cold_srv, "plan_cache_misses");
+    let (s3, cold) = encode_csv(&cold_srv, &warm_id, &csv);
+    let misses_after = counter_value(&cold_srv, "plan_cache_misses");
     assert_eq!((s1, s2, s3), (200, 200, 200));
     assert_eq!(warm1, warm2, "repeat encode must be deterministic");
-    assert_eq!(warm1, cold, "cached plan must answer exactly like the cold path");
-    let hits_after = counter_value(&warm_srv, "plan_cache_hits");
+    assert_eq!(warm1, cold, "cached plan must answer exactly like a plan-cache miss");
     assert!(
-        hits_after > hits_before,
+        hits_after >= hits_before + 2,
         "warm encodes must hit the plan cache ({hits_before} -> {hits_after})"
+    );
+    assert!(
+        misses_after > misses_before,
+        "the copied key's first encode must miss the plan cache ({misses_before} -> {misses_after})"
     );
 
     // Repeated classify of the same tree payload answers identically.

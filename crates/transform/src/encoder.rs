@@ -16,8 +16,8 @@
 //! serialized keys, mined trees, datasets — is treated as potentially
 //! corrupt: every fallible operation returns a typed
 //! [`PpdtError`] instead of panicking, and the internal draw loop is
-//! governed by an explicit [`RetryPolicy`] whose exhaustion surfaces
-//! as [`PpdtError::DrawExhausted`] with per-attempt reasons.
+//! bounded: exhaustion surfaces as [`PpdtError::DrawExhausted`] with
+//! per-attempt reasons.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -99,61 +99,10 @@ impl EncodeConfig {
     }
 }
 
-/// What to do when a bounded draw loop runs out of attempts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OnExhaust {
-    /// Return [`PpdtError::DrawExhausted`] with per-attempt reasons.
-    #[default]
-    Fail,
-    /// Fall back to the conservative configuration that cannot fail
-    /// validation in practice — a single globally monotone piece
-    /// ([`BreakpointStrategy::None`], `anti_monotone_prob = 0`) — and
-    /// only error if even that draw is invalid.
-    Fallback,
-}
-
-/// Bounded-retry policy for the randomized per-attribute transform
-/// draw, which redraws a transform that fails validation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Maximum number of attempts before giving up (≥ 1).
-    pub max_attempts: usize,
-    /// What to do when attempts run out.
-    pub on_exhaust: OnExhaust,
-}
-
-impl Default for RetryPolicy {
-    /// 16 attempts, then fail with diagnostics — the historical
-    /// hard-coded loop bound, now surfaced as a typed error instead of
-    /// a panic.
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 16, on_exhaust: OnExhaust::Fail }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that fails after `max_attempts` attempts.
-    pub fn failing(max_attempts: usize) -> Self {
-        RetryPolicy { max_attempts, on_exhaust: OnExhaust::Fail }
-    }
-
-    /// A policy that falls back to the conservative configuration
-    /// after `max_attempts` attempts.
-    pub fn with_fallback(max_attempts: usize) -> Self {
-        RetryPolicy { max_attempts, on_exhaust: OnExhaust::Fallback }
-    }
-
-    /// Rejects a policy with zero attempts.
-    pub fn validate(&self) -> Result<(), PpdtError> {
-        if self.max_attempts == 0 {
-            return Err(PpdtError::InvalidConfig {
-                param: "retry.max_attempts".into(),
-                detail: "must be at least 1".into(),
-            });
-        }
-        Ok(())
-    }
-}
+/// Draws of one attribute's transform before the encoder gives up
+/// with [`PpdtError::DrawExhausted`]. A draw fails validation only on
+/// a rare numeric collision, so the bound is never reached in practice.
+const DRAW_ATTEMPTS: usize = 16;
 
 /// The custodian's key: one [`PiecewiseTransform`] per attribute.
 ///
@@ -664,26 +613,17 @@ impl Encoded {
 #[derive(Clone, Copy, Debug)]
 pub struct Encoder {
     config: EncodeConfig,
-    retry: RetryPolicy,
     /// 1 = serial (default); 0 = auto (`ppdt_obs::threads`); n =
     /// exactly n crossbeam workers.
     threads: usize,
     verify: Option<TreeParams>,
-    metrics: bool,
 }
 
 impl Encoder {
-    /// An encoder with the given configuration, default
-    /// [`RetryPolicy`], serial execution, no verification, and
-    /// metrics recording on.
+    /// An encoder with the given configuration, serial execution and
+    /// no verification.
     pub fn new(config: EncodeConfig) -> Encoder {
-        Encoder { config, retry: RetryPolicy::default(), threads: 1, verify: None, metrics: true }
-    }
-
-    /// Sets the [`RetryPolicy`] of the per-attribute draws.
-    pub fn retry(mut self, policy: RetryPolicy) -> Encoder {
-        self.retry = policy;
-        self
+        Encoder { config, threads: 1, verify: None }
     }
 
     /// Sets the worker-thread count: `1` (default) encodes serially on
@@ -722,15 +662,6 @@ impl Encoder {
         self
     }
 
-    /// Toggles recording on the global [`ppdt_obs`] registry (the
-    /// `encode` phase timer and the `rows_encoded` counter). On by
-    /// default; the deep per-draw counters (`draw_retries`,
-    /// `pieces_drawn`, `verify_retries`) are always recorded.
-    pub fn metrics(mut self, record: bool) -> Encoder {
-        self.metrics = record;
-        self
-    }
-
     /// Encodes every attribute of `d`, returning the custodian's key
     /// and the transformed dataset `D'` (plus the attempt count when
     /// verifying).
@@ -748,14 +679,14 @@ impl Encoder {
     /// Builds the piecewise transform of one attribute — the
     /// single-attribute front door (replaces the historical
     /// `encode_attribute{,_with}`). Ignores the thread and verify
-    /// settings; the retry policy bounds the draw loop.
+    /// settings.
     pub fn encode_attribute<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         d: &Dataset,
         a: AttrId,
     ) -> Result<PiecewiseTransform, PpdtError> {
-        draw_attribute_transform(rng, d, a, &self.config, self.retry)
+        draw_attribute_transform(rng, d, a, &self.config)
     }
 
     fn resolve_threads(&self, num_attrs: usize) -> usize {
@@ -774,20 +705,17 @@ impl Encoder {
         config: &EncodeConfig,
         threads: usize,
     ) -> Result<(TransformKey, Dataset), PpdtError> {
-        validate_encode_inputs(d, config, self.retry)?;
-        let _t = self.metrics.then(|| ppdt_obs::phase("encode"));
+        validate_encode_inputs(d, config)?;
+        let _t = ppdt_obs::phase("encode");
         let seeds = attr_seeds(rng, d.num_attrs());
-        if self.metrics {
-            ppdt_obs::add(ppdt_obs::Counter::RowsEncoded, d.num_rows() as u64);
-        }
+        ppdt_obs::add(ppdt_obs::Counter::RowsEncoded, d.num_rows() as u64);
 
         let n = d.num_attrs();
-        let policy = self.retry;
         if threads <= 1 {
             let mut transforms = Vec::with_capacity(n);
             let mut columns = Vec::with_capacity(n);
             for (a, &seed) in d.schema().attrs().zip(&seeds) {
-                let (tr, col) = encode_attribute_seeded(seed, d, a, config, policy)?;
+                let (tr, col) = encode_attribute_seeded(seed, d, a, config)?;
                 transforms.push(tr);
                 columns.push(col);
             }
@@ -804,8 +732,7 @@ impl Encoder {
                 scope.spawn(move |_| {
                     for (i, slot) in chunk.iter_mut().enumerate() {
                         let a = AttrId(start + i);
-                        *slot =
-                            Some(encode_attribute_seeded(seeds[start + i], d, a, config, policy));
+                        *slot = Some(encode_attribute_seeded(seeds[start + i], d, a, config));
                     }
                 });
             }
@@ -853,7 +780,7 @@ impl Encoder {
             ppdt_obs::add(ppdt_obs::Counter::VerifyRetries, 1);
             attempts += 1;
             for a in redraw {
-                let (tr, col) = encode_attribute_seeded(rng.gen(), d, a, &monotone, self.retry)?;
+                let (tr, col) = encode_attribute_seeded(rng.gen(), d, a, &monotone)?;
                 key.transforms[a.index()] = tr;
                 dataset = dataset.with_column(a, col);
             }
@@ -862,12 +789,7 @@ impl Encoder {
     }
 }
 
-fn validate_encode_inputs(
-    d: &Dataset,
-    config: &EncodeConfig,
-    policy: RetryPolicy,
-) -> Result<(), PpdtError> {
-    policy.validate()?;
+fn validate_encode_inputs(d: &Dataset, config: &EncodeConfig) -> Result<(), PpdtError> {
     if d.num_rows() == 0 {
         return Err(PpdtError::EmptyInput { what: "dataset".into() });
     }
@@ -905,10 +827,9 @@ fn encode_attribute_seeded(
     d: &Dataset,
     a: AttrId,
     config: &EncodeConfig,
-    policy: RetryPolicy,
 ) -> Result<(PiecewiseTransform, Vec<f64>), PpdtError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let tr = draw_attribute_transform(&mut rng, d, a, config, policy)?;
+    let tr = draw_attribute_transform(&mut rng, d, a, config)?;
     let col: Result<Vec<f64>, PpdtError> =
         d.column(a).iter().map(|&x| tr.encode(x).map_err(|e| e.with_attr(a.index()))).collect();
     Ok((tr, col?))
@@ -919,25 +840,22 @@ fn encode_attribute_seeded(
 /// The draw is randomized and validated; the (rare) numeric validation
 /// failure — e.g. a cascade squeezing a large piece into an interval
 /// narrow enough for two f64 outputs to collide — triggers a redraw,
-/// bounded by `policy`. Exhaustion yields
+/// at most [`DRAW_ATTEMPTS`] in all. Exhaustion yields
 /// [`PpdtError::DrawExhausted`] carrying one reason per failed
-/// attempt (or, under [`OnExhaust::Fallback`], one last conservative
-/// single-piece monotone draw). Retries beyond the first attempt are
-/// counted on [`ppdt_obs::Counter::DrawRetries`].
-pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
+/// attempt. Retries beyond the first attempt are counted on
+/// [`ppdt_obs::Counter::DrawRetries`].
+fn draw_attribute_transform<R: Rng + ?Sized>(
     rng: &mut R,
     d: &Dataset,
     a: AttrId,
     config: &EncodeConfig,
-    policy: RetryPolicy,
 ) -> Result<PiecewiseTransform, PpdtError> {
-    policy.validate()?;
     let sc = d.sorted_column(a);
     if sc.num_distinct() == 0 {
         return Err(PpdtError::EmptyInput { what: format!("attribute {a}") });
     }
     let mut reasons: Vec<String> = Vec::new();
-    for attempt in 0..policy.max_attempts {
+    for attempt in 0..DRAW_ATTEMPTS {
         if attempt > 0 {
             ppdt_obs::add(ppdt_obs::Counter::DrawRetries, 1);
         }
@@ -952,21 +870,7 @@ pub(crate) fn draw_attribute_transform<R: Rng + ?Sized>(
             Err(e) => reasons.push(format!("attempt {}: {e}", attempt + 1)),
         }
     }
-    if policy.on_exhaust == OnExhaust::Fallback {
-        // Conservative last resort: one globally monotone piece.
-        let conservative =
-            EncodeConfig { strategy: BreakpointStrategy::None, anti_monotone_prob: 0.0, ..*config };
-        let plan = plan_pieces(rng, &sc, conservative.strategy);
-        let tr = build_transform(rng, &sc, &plan, true, &conservative);
-        match tr.validate() {
-            Ok(()) => {
-                ppdt_obs::add(ppdt_obs::Counter::PiecesDrawn, tr.pieces.len() as u64);
-                return Ok(tr);
-            }
-            Err(e) => reasons.push(format!("fallback: {e}")),
-        }
-    }
-    Err(PpdtError::DrawExhausted { attr: Some(a.index()), attempts: policy.max_attempts, reasons })
+    Err(PpdtError::DrawExhausted { attr: Some(a.index()), attempts: DRAW_ATTEMPTS, reasons })
 }
 
 /// Materializes a [`PiecewiseTransform`] from a piece plan:
@@ -1373,12 +1277,6 @@ mod tests {
         let err = enc(&mut rng, &d, &bad).unwrap_err();
         assert!(matches!(err, PpdtError::InvalidConfig { .. }), "{err:?}");
         assert_eq!(err.category().exit_code(), 2);
-        let zero_attempts = RetryPolicy::failing(0);
-        let err = Encoder::new(EncodeConfig::default())
-            .retry(zero_attempts)
-            .encode(&mut rng, &d)
-            .unwrap_err();
-        assert!(matches!(err, PpdtError::InvalidConfig { .. }), "{err:?}");
     }
 
     #[test]
@@ -1431,26 +1329,6 @@ mod tests {
     }
 
     #[test]
-    fn draw_exhaustion_reports_reasons_and_fallback_recovers() {
-        // Policy plumbing through the single-attribute front door:
-        // max_attempts=1 still succeeds on benign data, and the
-        // fallback path yields a single-piece monotone transform.
-        let d = figure1();
-        let mut rng = StdRng::seed_from_u64(11);
-        let tr = Encoder::new(EncodeConfig::default())
-            .retry(RetryPolicy::failing(1))
-            .encode_attribute(&mut rng, &d, AttrId(0))
-            .unwrap();
-        tr.validate().unwrap();
-        let mut rng = StdRng::seed_from_u64(12);
-        let tr = Encoder::new(EncodeConfig::default())
-            .retry(RetryPolicy::with_fallback(1))
-            .encode_attribute(&mut rng, &d, AttrId(0))
-            .unwrap();
-        tr.validate().unwrap();
-    }
-
-    #[test]
     fn builder_thread_counts_are_bit_identical() {
         let mut rng = StdRng::seed_from_u64(50);
         let cfg =
@@ -1468,22 +1346,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_metrics_off_skips_rows_encoded() {
-        // `metrics(false)` must not touch the rows_encoded counter
-        // (other tests mutate global counters too, so measure a delta
-        // of zero can race; instead just exercise the path).
-        let d = figure1();
-        let mut rng = StdRng::seed_from_u64(51);
-        let got = Encoder::new(EncodeConfig::default()).metrics(false).encode(&mut rng, &d);
-        assert!(got.is_ok());
-    }
-
-    #[test]
     fn builder_verified_encode_attempts_reported() {
         let mut rng = StdRng::seed_from_u64(52);
         let d = figure1();
         let e = Encoder::new(EncodeConfig { anti_monotone_prob: 1.0, ..Default::default() })
-            .retry(RetryPolicy::with_fallback(8))
             .verify(true)
             .encode(&mut rng, &d)
             .unwrap();

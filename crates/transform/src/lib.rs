@@ -64,10 +64,7 @@ pub mod verify;
 pub use audit::{audit_key, audit_key_against, AuditFinding, AuditReport, Severity};
 pub use breakpoints::{plan_pieces, BreakpointStrategy, PiecePlan};
 pub use compiled::{CompiledKey, CompiledTransform, RekeyPlan};
-pub use encoder::{
-    Certificate, EncodeConfig, Encoded, Encoder, LayoutKind, OnExhaust, RetryPolicy, TieFlag,
-    TransformKey,
-};
+pub use encoder::{Certificate, EncodeConfig, Encoded, Encoder, LayoutKind, TieFlag, TransformKey};
 pub use family::FnFamily;
 pub use func::MonoFunc;
 pub use perturb::{perturb_dataset, PerturbKind, Perturbation};

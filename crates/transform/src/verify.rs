@@ -117,7 +117,6 @@ pub fn no_outcome_change<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::breakpoints::BreakpointStrategy;
-    use crate::encoder::RetryPolicy;
     use crate::family::FnFamily;
     use ppdt_data::gen::{census_like, figure1, random_dataset, wdbc_like, RandomDatasetConfig};
     use ppdt_data::{ClassId, DatasetBuilder, Schema};
@@ -200,11 +199,8 @@ mod tests {
                 ..Default::default()
             };
             let params = TreeParams::default();
-            let encoded = Encoder::new(encode_config)
-                .retry(RetryPolicy::with_fallback(8))
-                .verify_with(params)
-                .encode(&mut rng, &d)
-                .unwrap();
+            let encoded =
+                Encoder::new(encode_config).verify_with(params).encode(&mut rng, &d).unwrap();
             let (key, d2, attempts) = (encoded.key, encoded.dataset, encoded.attempts);
             assert!((1..=1 + d.num_attrs()).contains(&attempts), "trial {trial}: {attempts}");
             let builder = TreeBuilder::new(params);
@@ -272,7 +268,6 @@ mod tests {
             // returns a certified key; no anti-monotone redraw could
             // clear this tie.
             let e = Encoder::new(anti)
-                .retry(RetryPolicy::failing(8))
                 .verify_with(params)
                 .encode(&mut StdRng::seed_from_u64(8), &d)
                 .unwrap();

@@ -12,7 +12,7 @@
 //! quick disclosure-risk self-audit before release.
 
 use ppdt::prelude::*;
-use ppdt::transform::{audit_key_against, RetryPolicy};
+use ppdt::transform::audit_key_against;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,11 +40,8 @@ fn main() {
         ..Default::default()
     };
     let params = TreeParams { min_samples_leaf: 5, ..Default::default() };
-    let encoded = Encoder::new(config)
-        .retry(RetryPolicy::failing(8))
-        .verify_with(params)
-        .encode(&mut rng, &d)
-        .expect("verified encode");
+    let encoded =
+        Encoder::new(config).verify_with(params).encode(&mut rng, &d).expect("verified encode");
     let (key, d_prime, attempts) = (encoded.key, encoded.dataset, encoded.attempts);
     println!("encoded in {attempts} attempt(s); every value transformed");
 

@@ -8,7 +8,6 @@ use ppdt::data::gen::{
 };
 use ppdt::prelude::*;
 use ppdt::transform::verify::all_class_strings_preserved;
-use ppdt::transform::RetryPolicy;
 use ppdt::tree::prune_pessimistic;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,11 +101,8 @@ fn verified_encode_with_anti_monotone_directions() {
     let d = wdbc_like(&mut rng, 300);
     let config = EncodeConfig { anti_monotone_prob: 1.0, ..Default::default() };
     let params = TreeParams::default();
-    let encoded = Encoder::new(config)
-        .retry(RetryPolicy::failing(8))
-        .verify_with(params)
-        .encode(&mut rng, &d)
-        .expect("verified encode");
+    let encoded =
+        Encoder::new(config).verify_with(params).encode(&mut rng, &d).expect("verified encode");
     let (key, d2, attempts) = (encoded.key, encoded.dataset, encoded.attempts);
     assert!(attempts >= 1);
     let builder = TreeBuilder::new(params);
